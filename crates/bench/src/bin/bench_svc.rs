@@ -20,9 +20,10 @@
 //! 1. **Reference** — every distinct request is computed by an
 //!    in-process single-node [`Service`]; its schedule text is the
 //!    byte-identical truth every multi-node response is compared against.
-//! 2. **Warmup** — each hot key is requested `hot_threshold` times
-//!    through the gateway, so its artifact is cached on its owner and
-//!    (via hot-key replication) pushed to the replica owners.
+//! 2. **Warmup** — each hot key is requested once through the gateway,
+//!    so its artifact is cached on its owner; then the bench waits until
+//!    anti-entropy (`--sync-interval-ms` on every node) has copied every
+//!    artifact to every node — `DIGEST` parity.
 //! 3. **Measurement** — all connections are opened, every request is
 //!    written, and a single-threaded readiness loop (mirroring the
 //!    server's own event loop) drives writes and reads until every
@@ -44,11 +45,13 @@ use std::time::{Duration, Instant, SystemTime};
 use ktiler_gateway::HashRing;
 use ktiler_svc::metrics::LatencyHistogram;
 use ktiler_svc::proto::{write_frame, DecodeEvent, FrameDecoder, Request, Response};
-use ktiler_svc::{NetClient, Outcome, ScheduleRequest, Service, ServiceConfig, WorkloadSpec};
+use ktiler_svc::{
+    digest_from_peer, NetClient, Outcome, ScheduleRequest, Service, ServiceConfig, WorkloadSpec,
+};
 
-/// How many requests per hot key the warmup issues — must match the
-/// gateway's hot threshold so replication fires during warmup.
-const HOT_THRESHOLD: u32 = 8;
+/// The nodes' anti-entropy interval: short, so the warmup's wait for
+/// `DIGEST` parity is short.
+const SYNC_INTERVAL_MS: u64 = 200;
 
 const RING_VNODES: usize = 64;
 const RING_SEED: u64 = 0;
@@ -178,7 +181,9 @@ fn spawn_node(addr: &str, cache_dir: &Path, peers: &[String], log: &Path) -> Chi
         .arg("--queue")
         .arg("256")
         .arg("--peer-timeout-ms")
-        .arg("2000");
+        .arg("2000")
+        .arg("--sync-interval-ms")
+        .arg(SYNC_INTERVAL_MS.to_string());
     for p in peers {
         cmd.arg("--peer").arg(p);
     }
@@ -199,16 +204,12 @@ fn spawn_gateway(addr: &str, nodes: &[String], queue: usize, log: &Path) -> Chil
         .arg(RING_VNODES.to_string())
         .arg("--seed")
         .arg(RING_SEED.to_string())
-        .arg("--hot-threshold")
-        .arg(HOT_THRESHOLD.to_string())
         .arg("--forwarders")
         .arg("8")
         .arg("--queue")
         .arg(queue.to_string())
         .arg("--node-timeout-ms")
-        .arg("60000")
-        .arg("--dead-cooldown-ms")
-        .arg("500");
+        .arg("60000");
     for n in nodes {
         cmd.arg("--node").arg(n);
     }
@@ -229,6 +230,25 @@ fn wait_ready(addr: &str, timeout: Duration) {
         }
         if Instant::now() >= deadline {
             fatal(&format!("{addr} never became ready"));
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
+/// Blocks until every node's `DIGEST` lists the same key set, at least
+/// `min_keys` long, or exits after `timeout`.
+fn wait_digest_parity(nodes: &[String], min_keys: usize, timeout: Duration) {
+    let deadline = Instant::now() + timeout;
+    loop {
+        let digests: Vec<_> =
+            nodes.iter().map(|n| digest_from_peer(n, Duration::from_secs(2)).ok()).collect();
+        if let Some(Some(first)) = digests.first() {
+            if first.len() >= min_keys && digests.iter().all(|d| d.as_ref() == Some(first)) {
+                return;
+            }
+        }
+        if Instant::now() >= deadline {
+            fatal("the nodes never reached DIGEST parity");
         }
         std::thread::sleep(Duration::from_millis(50));
     }
@@ -387,24 +407,23 @@ fn main() {
     wait_ready(&gw_addr, Duration::from_secs(30));
     eprintln!("[bench_svc] {} node(s) + gateway {gw_addr} up", cfg.nodes);
 
-    // Phase 2: warm the hot keys through the gateway — enough times each
-    // to cross the replication threshold.
+    // Phase 2: warm each hot key on its owner through the gateway, then
+    // let anti-entropy copy it to every other node.
     let t_warm = Instant::now();
     {
         let mut c = NetClient::connect(&gw_addr).unwrap_or_else(|e| fatal(&format!("warmup: {e}")));
         for (i, req) in specs.iter().take(cfg.hot_keys).enumerate() {
-            for _ in 0..HOT_THRESHOLD {
-                match c.request(&Request::Schedule(req.clone())) {
-                    Ok(Response::Schedule(r)) => {
-                        if r.text != reference[i] {
-                            fatal(&format!("warmup response for hot key {i} != reference"));
-                        }
+            match c.request(&Request::Schedule(req.clone())) {
+                Ok(Response::Schedule(r)) => {
+                    if r.text != reference[i] {
+                        fatal(&format!("warmup response for hot key {i} != reference"));
                     }
-                    other => fatal(&format!("warmup hot key {i}: {other:?}")),
                 }
+                other => fatal(&format!("warmup hot key {i}: {other:?}")),
             }
         }
     }
+    wait_digest_parity(&node_addrs, cfg.hot_keys, Duration::from_secs(60));
     eprintln!("[bench_svc] warmup done in {:.1}s", t_warm.elapsed().as_secs_f64());
 
     // Pick the victim before the clock starts: the primary owner of hot

@@ -9,32 +9,33 @@
 //! ```text
 //! ktiler_gateway --node HOST:PORT [--node HOST:PORT]...
 //!                [--addr HOST:PORT] [--replicas N] [--vnodes N]
-//!                [--seed N] [--hot-threshold N] [--forwarders N]
-//!                [--queue N] [--node-timeout-ms N]
-//!                [--dead-cooldown-ms N] [--fallback-cache-dir DIR]
-//!                [--probe-interval-ms N] [--suspect-after N]
-//!                [--down-after N] [--port-file PATH] [--stats-out PATH]
+//!                [--seed N] [--forwarders N] [--queue N]
+//!                [--node-timeout-ms N] [--probe-interval-ms N]
+//!                [--suspect-after N] [--down-after N]
+//!                [--port-file PATH] [--stats-out PATH]
 //! ```
 //!
 //! Defaults mirror [`ktiler_gateway::GatewayConfig::new`]: 2 owners per
-//! key, 64 virtual nodes, seed 0, hot threshold 8, 4 forwarders, a
-//! 16384-deep queue, a 10 s per-node timeout and a 1 s dead cooldown.
-//! `--fallback-cache-dir` arms the local-recompute fallback: when every
-//! owner of a key is unreachable the gateway computes the schedule itself
-//! (cached in the given directory) instead of erroring.
+//! key, 64 virtual nodes, seed 0, 4 forwarders, a 16384-deep queue and a
+//! 10 s per-node timeout. The gateway holds no artifacts: when every
+//! owner of a key is unreachable the client gets a typed `INTERNAL`
+//! error, and keeping a co-owner warm for failover is the nodes' job
+//! (`ktiler_serve --peer ... --sync-interval-ms N`).
 //!
 //! The health prober `PING`s every node each `--probe-interval-ms`
 //! (default 500; 0 disables probing) and drives the per-node
 //! `Up → Suspect → Down` membership state shown in `STATS`;
 //! `--suspect-after` / `--down-after` set the consecutive-failure
-//! thresholds. `DRAIN HOST:PORT` (see `ktiler_tool client drain`) marks a
-//! node for graceful restart.
+//! thresholds (failed forwards count too). Each request tries its Up
+//! owners before its Suspect ones; Down nodes are routed around.
+//! `DRAIN HOST:PORT` (see `ktiler_tool client drain`) marks a node for
+//! graceful restart.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use ktiler_gateway::{Gateway, GatewayConfig};
-use ktiler_svc::{serve_front, ServerTuning, ServiceConfig};
+use ktiler_svc::{serve_front, ServerTuning};
 
 fn arg_value(name: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
@@ -49,9 +50,8 @@ fn arg_values(name: &str) -> Vec<String> {
 fn usage() -> ! {
     eprintln!(
         "usage: ktiler_gateway --node HOST:PORT [--node HOST:PORT]... [--addr HOST:PORT] \
-         [--replicas N] [--vnodes N] [--seed N] [--hot-threshold N] [--forwarders N] \
-         [--queue N] [--node-timeout-ms N] [--dead-cooldown-ms N] \
-         [--fallback-cache-dir DIR] [--probe-interval-ms N] [--suspect-after N] \
+         [--replicas N] [--vnodes N] [--seed N] [--forwarders N] [--queue N] \
+         [--node-timeout-ms N] [--probe-interval-ms N] [--suspect-after N] \
          [--down-after N] [--port-file PATH] [--stats-out PATH]"
     );
     std::process::exit(2);
@@ -82,14 +82,9 @@ fn main() {
     cfg.replicas = arg_parse("--replicas", cfg.replicas);
     cfg.vnodes = arg_parse("--vnodes", cfg.vnodes);
     cfg.seed = arg_parse("--seed", cfg.seed);
-    cfg.hot_threshold = arg_parse("--hot-threshold", cfg.hot_threshold);
     cfg.forwarders = arg_parse("--forwarders", cfg.forwarders);
     cfg.queue_capacity = arg_parse("--queue", cfg.queue_capacity);
     cfg.node_timeout = arg_millis("--node-timeout-ms", cfg.node_timeout);
-    cfg.dead_cooldown = arg_millis("--dead-cooldown-ms", cfg.dead_cooldown);
-    if let Some(dir) = arg_value("--fallback-cache-dir") {
-        cfg.local_fallback = Some(ServiceConfig::new(&dir));
-    }
     if let Some(n) = arg_value("--probe-interval-ms") {
         let ms: u64 = n.parse().unwrap_or_else(|_| usage());
         cfg.probe_interval = (ms > 0).then(|| Duration::from_millis(ms));

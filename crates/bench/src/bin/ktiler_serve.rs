@@ -29,7 +29,9 @@
 //! in DESIGN.md §15. `--sync-interval-ms` additionally runs anti-entropy
 //! against those peers: every interval the node compares `DIGEST`s and
 //! pulls artifacts it is missing, so an empty-restarted node converges
-//! back to warm without client traffic (DESIGN.md §16).
+//! back to warm without client traffic (DESIGN.md §16). It is also the
+//! only way a key's co-owner gets warm before its primary fails: the
+//! gateway never copies artifacts between nodes.
 //!
 //! `--cache-budget-bytes` arms the cache sweeper: when the artifact
 //! directory exceeds the budget, the oldest entries (quarantined files

@@ -158,7 +158,6 @@ fn client_main() {
             println!("ARTIFACT key={key}");
             print!("{text}");
         }
-        Response::Stored => println!("STORED"),
         Response::Digest(keys) => {
             println!("DIGEST count={}", keys.len());
             for key in keys {

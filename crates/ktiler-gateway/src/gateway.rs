@@ -12,29 +12,26 @@
 //!
 //! **Failover.** A transport failure (dead node, torn connection,
 //! timeout) or a node-level rejection (`SHED`, `SHUTDOWN`) moves on to
-//! the next owner; the failed node is put on a cooldown so the next few
-//! thousand requests don't each re-pay the discovery timeout. Failures
-//! that are deterministic for the request (`BAD_REQUEST`, `PIPELINE`) are
-//! returned as-is — every replica would answer the same. When every owner
-//! fails, the gateway falls back to a local compute service when
-//! configured, else reports `INTERNAL`. Idempotency makes all of this
-//! safe: a schedule request is a pure function of its inputs, so trying
-//! it on two nodes can only cost duplicate work, never wrong answers.
-//!
-//! **Hot-key replication.** The gateway counts requests per routing key;
-//! when a key crosses `hot_threshold` it pushes the artifact (`PUT`) to
-//! the other owners, so the hot key is served even if its primary dies —
-//! without waiting for the failover path's peer fill.
+//! the next owner. Failures that are deterministic for the request
+//! (`BAD_REQUEST`, `PIPELINE`) are returned as-is — every replica would
+//! answer the same. When every owner fails, the client gets a typed
+//! `INTERNAL` error. Idempotency makes all of this safe: a schedule
+//! request is a pure function of its inputs, so trying it on two nodes
+//! can only cost duplicate work, never wrong answers. Keeping a co-owner
+//! warm for failover is the nodes' job (peer fill and anti-entropy); the
+//! gateway never moves artifacts.
 //!
 //! **Live membership.** A prober thread `PING`s every node each
 //! `probe_interval`; consecutive failures (from probes *and* failed
 //! forwards) drive the per-node state machine `Up → Suspect → Down`, and
-//! one successful probe or forward drives `→ Up`. Routing excludes `Down`
-//! and draining nodes via [`HashRing::owner_indices_excluding`], so their
-//! keys fall to ring successors *before* a request pays the discovery
-//! timeout — reactive failover remains as the safety net for the window
-//! between a crash and the probe that notices it. `DRAIN <addr>` marks a
-//! node draining (probed, never routed to) for graceful restarts.
+//! one successful probe or forward drives `→ Up`. Each request tries its
+//! Up owners before its Suspect ones, so after one failed forward the
+//! following requests go straight to a co-owner instead of each re-paying
+//! the discovery timeout — yet a blip never moves a key off its owner
+//! set. Routing excludes `Down` and draining nodes via
+//! [`HashRing::owner_indices_excluding`], so their keys fall to ring
+//! successors. `DRAIN <addr>` marks a node draining (probed, never routed
+//! to) for graceful restarts.
 //!
 //! The event loop hands [`Dispatch::Pending`] tickets to a pool of
 //! forwarder threads (blocking I/O per forwarder, bounded by
@@ -51,16 +48,10 @@ use ktiler_svc::fault;
 use ktiler_svc::metrics::LatencyHistogram;
 use ktiler_svc::proto::{Request, Response};
 use ktiler_svc::{
-    CacheKey, Dispatch, FrontEnd, NetClient, ScheduleRequest, ScheduleResponse, Service,
-    ServiceConfig, SvcError, Ticket, TicketSink,
+    CacheKey, Dispatch, FrontEnd, NetClient, ScheduleRequest, SvcError, Ticket, TicketSink,
 };
 
 use crate::ring::HashRing;
-
-/// Entries kept in the hot-key counting table before it is cleared
-/// wholesale — crude, but bounded, and a key hot enough to matter will
-/// re-cross the threshold quickly after a clear.
-const HOT_TABLE_CAP: usize = 4096;
 
 /// Tunables of a [`Gateway`].
 #[derive(Debug, Clone)]
@@ -73,9 +64,6 @@ pub struct GatewayConfig {
     pub vnodes: usize,
     /// Seed of the ring's point positions; every participant must agree.
     pub seed: u64,
-    /// Requests for one routing key before its artifact is pushed to the
-    /// other owners. Zero disables replication.
-    pub hot_threshold: u32,
     /// Forwarder threads draining the gateway queue (each holds one
     /// pooled connection per node).
     pub forwarders: usize,
@@ -84,17 +72,11 @@ pub struct GatewayConfig {
     pub queue_capacity: usize,
     /// Connect/read/write timeout for one attempt against one node.
     pub node_timeout: Duration,
-    /// How long a node that failed a transport attempt is deprioritized
-    /// (still tried when no live owner remains).
-    pub dead_cooldown: Duration,
-    /// When set, the gateway starts a local [`Service`] and computes
-    /// requests itself after every owner has failed — degraded latency,
-    /// zero client-visible errors.
-    pub local_fallback: Option<ServiceConfig>,
     /// How often the health prober `PING`s every node. `None` disables
     /// active probing (membership then moves only on forward failures).
     pub probe_interval: Option<Duration>,
-    /// Consecutive failures that move a node `Up → Suspect`.
+    /// Consecutive failures that move a node `Up → Suspect` (tried after
+    /// its Up co-owners).
     pub suspect_after: u32,
     /// Consecutive failures that move a node `Suspect → Down` (counted
     /// from the first failure, so `down_after` must exceed
@@ -104,20 +86,18 @@ pub struct GatewayConfig {
 
 impl GatewayConfig {
     /// A config with defaults sized for a handful of local nodes:
-    /// 2 owners per key, 64 vnodes, hot threshold 8, 4 forwarders, a
-    /// 16384-deep queue, 10 s node timeout and 1 s dead cooldown.
+    /// 2 owners per key, 64 vnodes, 4 forwarders, a 16384-deep queue, a
+    /// 10 s node timeout, a 500 ms probe interval, Suspect after one
+    /// failure and Down after three.
     pub fn new(nodes: Vec<String>) -> Self {
         GatewayConfig {
             nodes,
             replicas: 2,
             vnodes: 64,
             seed: 0,
-            hot_threshold: 8,
             forwarders: 4,
             queue_capacity: 16384,
             node_timeout: Duration::from_secs(10),
-            dead_cooldown: Duration::from_secs(1),
-            local_fallback: None,
             probe_interval: Some(Duration::from_millis(500)),
             suspect_after: 1,
             down_after: 3,
@@ -125,16 +105,20 @@ impl GatewayConfig {
     }
 }
 
-/// The health state the prober assigns a node.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The health state the prober assigns a node. The order is routing
+/// preference: each request tries its Up owners, then its Suspect ones.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum NodeState {
     /// Answering probes (or forwards); routed to normally.
     Up,
-    /// Missed at least `suspect_after` consecutive probes; still routed
-    /// to — one blip must not remap traffic.
+    /// Failed at least `suspect_after` consecutive probes or forwards;
+    /// still an owner of its keys, but tried only after its Up co-owners.
+    /// A blip demotes a node behind its co-owners; it never moves a key
+    /// off its owner set.
     Suspect,
-    /// Missed `down_after` consecutive probes; excluded from routing (its
-    /// keys fall to ring successors) until a probe succeeds again.
+    /// Failed `down_after` consecutive probes or forwards; excluded from
+    /// routing (its keys fall to ring successors) until a probe succeeds
+    /// again.
     Down,
 }
 
@@ -178,9 +162,6 @@ struct GwMetrics {
     forwarded: AtomicU64,
     failovers: AtomicU64,
     sheds: AtomicU64,
-    local_fallbacks: AtomicU64,
-    replications: AtomicU64,
-    replication_failures: AtomicU64,
     errors: AtomicU64,
     probe_rounds: AtomicU64,
     forward_latency: LatencyHistogram,
@@ -215,15 +196,8 @@ struct Inner {
     prober_cv: Condvar,
     metrics: GwMetrics,
     node_stats: Vec<NodeStats>,
-    /// Per node: deprioritized until this instant (transport-failure
-    /// cooldown).
-    dead_until: Mutex<Vec<Option<Instant>>>,
-    /// Routing key → requests seen; crossing `hot_threshold` triggers
-    /// replication, once.
-    hot: Mutex<HashMap<CacheKey, u32>>,
     /// Per node: the prober's membership state machine.
     health: Mutex<Vec<NodeHealth>>,
-    local: Option<Service>,
 }
 
 /// The running gateway: hand it to
@@ -235,18 +209,14 @@ pub struct Gateway {
 }
 
 impl Gateway {
-    /// Starts the gateway: builds the ring, starts the local fallback
-    /// service when configured, and spawns the forwarder pool.
+    /// Starts the gateway: builds the ring and spawns the forwarder pool
+    /// (and the prober, when `probe_interval` is set).
     ///
     /// # Errors
     ///
-    /// Any error from starting the fallback service or spawning threads.
+    /// Any error from spawning threads.
     pub fn start(cfg: GatewayConfig) -> io::Result<Gateway> {
         let ring = HashRing::build(&cfg.nodes, cfg.vnodes, cfg.seed);
-        let local = match &cfg.local_fallback {
-            Some(sc) => Some(Service::start(sc.clone())?),
-            None => None,
-        };
         let n = cfg.nodes.len();
         let forwarder_count = cfg.forwarders.max(1);
         let inner = Arc::new(Inner {
@@ -257,10 +227,7 @@ impl Gateway {
             prober_cv: Condvar::new(),
             metrics: GwMetrics::default(),
             node_stats: (0..n).map(|_| NodeStats::default()).collect(),
-            dead_until: Mutex::new(vec![None; n]),
-            hot: Mutex::new(HashMap::new()),
             health: Mutex::new((0..n).map(|_| NodeHealth::new()).collect()),
-            local,
         });
         let mut handles = Vec::with_capacity(forwarder_count);
         for i in 0..forwarder_count {
@@ -293,16 +260,6 @@ impl Gateway {
     /// Requests that failed over to a non-primary owner.
     pub fn failovers(&self) -> u64 {
         self.inner.metrics.failovers.load(Ordering::Relaxed)
-    }
-
-    /// Requests computed by the local fallback service.
-    pub fn local_fallbacks(&self) -> u64 {
-        self.inner.metrics.local_fallbacks.load(Ordering::Relaxed)
-    }
-
-    /// Artifacts pushed to replica owners by hot-key replication.
-    pub fn replications(&self) -> u64 {
-        self.inner.metrics.replications.load(Ordering::Relaxed)
     }
 
     /// Completed prober rounds (one round probes every node once).
@@ -343,12 +300,10 @@ impl Gateway {
 
     /// Renders the gateway's metrics as JSON (the `STATS` answer):
     /// top-level counters, the forward-latency histogram, and one object
-    /// per node with its forwarded/failure counts and cooldown state.
+    /// per node with its forwarded/failure counts and membership state.
     pub fn stats_json(&self) -> String {
         let c = |a: &AtomicU64| a.load(Ordering::Relaxed);
         let m = &self.inner.metrics;
-        let now = Instant::now();
-        let dead = fault::lock(&self.inner.dead_until);
         let health = fault::lock(&self.inner.health);
         let nodes = self
             .inner
@@ -360,11 +315,10 @@ impl Gateway {
                 let h = &health[i];
                 format!(
                     "{{\"addr\": \"{addr}\", \"forwarded\": {}, \"failures\": {}, \
-                     \"dead\": {}, \"state\": \"{}\", \"draining\": {}, \
+                     \"state\": \"{}\", \"draining\": {}, \
                      \"transitions\": {{\"to_suspect\": {}, \"to_down\": {}, \"to_up\": {}}}}}",
                     c(&self.inner.node_stats[i].forwarded),
                     c(&self.inner.node_stats[i].failures),
-                    dead[i].is_some_and(|t| t > now),
                     h.state.as_str(),
                     h.draining,
                     h.to_suspect,
@@ -376,17 +330,13 @@ impl Gateway {
             .join(",\n    ");
         format!(
             "{{\n  \"gateway\": true,\n  \"requests\": {},\n  \"forwarded\": {},\n  \
-             \"failovers\": {},\n  \"sheds\": {},\n  \"local_fallbacks\": {},\n  \
-             \"replications\": {},\n  \"replication_failures\": {},\n  \"errors\": {},\n  \
+             \"failovers\": {},\n  \"sheds\": {},\n  \"errors\": {},\n  \
              \"probe_rounds\": {},\n  \
              \"forward_latency_us\": {},\n  \"nodes\": [\n    {nodes}\n  ]\n}}",
             c(&m.requests),
             c(&m.forwarded),
             c(&m.failovers),
             c(&m.sheds),
-            c(&m.local_fallbacks),
-            c(&m.replications),
-            c(&m.replication_failures),
             c(&m.errors),
             c(&m.probe_rounds),
             m.forward_latency.to_json()
@@ -419,11 +369,9 @@ impl FrontEnd for Gateway {
             }
             // The gateway holds no artifacts; peers exchange them node to
             // node.
-            Request::Fetch(_) | Request::Put { .. } => {
-                Dispatch::Ready(Response::Err(SvcError::BadRequest(
-                    "the gateway routes schedule requests; send FETCH/PUT to a node".into(),
-                )))
-            }
+            Request::Fetch(_) => Dispatch::Ready(Response::Err(SvcError::BadRequest(
+                "the gateway routes schedule requests; send FETCH to a node".into(),
+            ))),
             Request::Digest | Request::Sync => {
                 Dispatch::Ready(Response::Err(SvcError::BadRequest(
                     "DIGEST/SYNC are node verbs; the gateway holds no artifacts".into(),
@@ -450,9 +398,6 @@ impl FrontEnd for Gateway {
         }
         if let Some(h) = fault::lock(&self.prober).take() {
             let _ = h.join();
-        }
-        if let Some(local) = &self.inner.local {
-            local.shutdown();
         }
     }
 }
@@ -490,49 +435,46 @@ impl Inner {
         }
     }
 
-    /// Routes one job: owners in ring order (cooled-down nodes last),
-    /// failover on transport errors and node-level rejections, local
-    /// fallback when every owner failed.
+    /// The nodes to try for routing key `rk`, in order: its owners with
+    /// Down and draining nodes routed around, Up owners before Suspect
+    /// ones, ring order within each state.
+    fn route(&self, rk: &CacheKey) -> Vec<usize> {
+        let (states, excluded): (Vec<NodeState>, Vec<bool>) = {
+            let health = fault::lock(&self.health);
+            health.iter().map(|h| (h.state, h.draining || h.state == NodeState::Down)).unzip()
+        };
+        // Excluded keys fall to ring successors without rebuilding the
+        // ring, so every other key keeps its owner. When exclusion leaves
+        // nothing (everything down or draining), fall back to the
+        // unfiltered walk — a stale verdict must not turn into a refusal.
+        let mut owners = self.ring.owner_indices_excluding(rk, self.cfg.replicas, &excluded);
+        if owners.is_empty() {
+            owners = self.ring.owner_indices(rk, self.cfg.replicas);
+        }
+        // Stable: a Suspect owner is still tried, just after the Up ones.
+        owners.sort_by_key(|&ni| states[ni]);
+        owners
+    }
+
+    /// Routes one job: owners in [`Inner::route`] order, failover on
+    /// transport errors and node-level rejections, `INTERNAL` when every
+    /// owner failed.
     fn forward(&self, job: GwJob, conns: &mut HashMap<usize, NetClient>) {
         if job.deadline.is_some_and(|d| Instant::now() >= d) {
             job.sink.fulfill(Err(SvcError::DeadlineExceeded));
             return;
         }
         let t0 = Instant::now();
-        let rk = job.req.routing_key();
-        // Route around nodes the prober has marked Down and nodes being
-        // drained: their keys fall to ring successors without rebuilding
-        // the ring, so every other key keeps its owner. When exclusion
-        // leaves nothing (everything down or draining), fall back to the
-        // unfiltered walk — a stale verdict must not turn into a refusal.
-        let excluded: Vec<bool> = {
-            let health = fault::lock(&self.health);
-            health.iter().map(|h| h.draining || h.state == NodeState::Down).collect()
-        };
-        let mut owners = self.ring.owner_indices_excluding(&rk, self.cfg.replicas, &excluded);
-        if owners.is_empty() {
-            owners = self.ring.owner_indices(&rk, self.cfg.replicas);
-        }
-        // Live owners first; cooled-down ones are still tried when the
-        // live ones fail — a cooldown is a hint, not a verdict.
-        let now = Instant::now();
-        let (live, cooled): (Vec<usize>, Vec<usize>) = {
-            let dead = fault::lock(&self.dead_until);
-            owners.iter().partition(|&&ni| dead[ni].is_none_or(|t| t <= now))
-        };
         let mut result = None;
-        let mut attempts = 0u32;
-        for &ni in live.iter().chain(cooled.iter()) {
-            attempts += 1;
+        for (attempt, ni) in self.route(&job.req.routing_key()).into_iter().enumerate() {
             match self.forward_to(ni, &job.req, conns) {
                 Ok(Response::Schedule(resp)) => {
                     fault_bump(&self.node_stats[ni].forwarded);
                     fault_bump(&self.metrics.forwarded);
-                    if attempts > 1 {
+                    if attempt > 0 {
                         fault_bump(&self.metrics.failovers);
                     }
                     self.record_success(ni);
-                    self.maybe_replicate(rk, &resp, &owners, ni, conns);
                     result = Some(Ok(resp));
                     break;
                 }
@@ -555,12 +497,12 @@ impl Inner {
                 Err(_) => {
                     fault_bump(&self.node_stats[ni].failures);
                     conns.remove(&ni);
-                    self.mark_dead(ni);
                     self.record_failure(ni);
                 }
             }
         }
-        let result = result.unwrap_or_else(|| self.local_compute(&job.req));
+        let result = result
+            .unwrap_or_else(|| Err(SvcError::Internal("no replica reachable for this key".into())));
         if result.is_err() {
             fault_bump(&self.metrics.errors);
         } else {
@@ -593,101 +535,18 @@ impl Inner {
         Ok(r)
     }
 
-    /// Counts the routing key and, exactly when it crosses the hot
-    /// threshold, pushes the artifact to the other owners (best-effort;
-    /// a failed push costs nothing but the counter).
-    fn maybe_replicate(
-        &self,
-        rk: CacheKey,
-        resp: &ScheduleResponse,
-        owners: &[usize],
-        served_by: usize,
-        conns: &mut HashMap<usize, NetClient>,
-    ) {
-        if self.cfg.hot_threshold == 0 || resp.text.is_empty() {
-            return;
-        }
-        let count = {
-            let mut hot = fault::lock(&self.hot);
-            if hot.len() >= HOT_TABLE_CAP && !hot.contains_key(&rk) {
-                hot.clear();
-            }
-            let e = hot.entry(rk).or_insert(0);
-            *e += 1;
-            *e
-        };
-        if count != self.cfg.hot_threshold {
-            return;
-        }
-        let put = Request::Put { key: resp.key, text: resp.text.clone() };
-        for &ni in owners.iter().filter(|&&ni| ni != served_by) {
-            let ok = match self.forward_raw(ni, &put, conns) {
-                Ok(Response::Stored) => true,
-                Ok(_) | Err(_) => false,
-            };
-            if ok {
-                fault_bump(&self.metrics.replications);
-            } else {
-                fault_bump(&self.metrics.replication_failures);
-            }
-        }
-    }
-
-    /// Like [`Inner::forward_to`] but for an arbitrary request.
-    fn forward_raw(
-        &self,
-        ni: usize,
-        request: &Request,
-        conns: &mut HashMap<usize, NetClient>,
-    ) -> io::Result<Response> {
-        if let Some(c) = conns.get_mut(&ni) {
-            match c.request(request) {
-                Ok(r) => return Ok(r),
-                Err(_) => {
-                    conns.remove(&ni);
-                }
-            }
-        }
-        let mut c = NetClient::connect_timeout(&self.cfg.nodes[ni], self.cfg.node_timeout)?;
-        let r = c.request(request)?;
-        conns.insert(ni, c);
-        Ok(r)
-    }
-
-    /// Every owner failed: compute locally when configured, else report.
-    fn local_compute(&self, req: &ScheduleRequest) -> Result<ScheduleResponse, SvcError> {
-        match &self.local {
-            Some(svc) => {
-                fault_bump(&self.metrics.local_fallbacks);
-                svc.client().schedule(req.clone())
-            }
-            None => Err(SvcError::Internal("no replica reachable for this key".into())),
-        }
-    }
-
-    fn mark_dead(&self, ni: usize) {
-        fault::lock(&self.dead_until)[ni] = Some(Instant::now() + self.cfg.dead_cooldown);
-    }
-
-    fn mark_alive(&self, ni: usize) {
-        fault::lock(&self.dead_until)[ni] = None;
-    }
-
     /// One success (probe or forward) resets the failure streak and
-    /// brings the node back `Up`, clearing its failover cooldown — the
-    /// recovery half of the state machine, so a restarted node gets its
-    /// ring points (and only its keys) back immediately.
+    /// brings the node back `Up` — the recovery half of the state
+    /// machine, so a restarted node gets its ring points (and only its
+    /// keys) back, first in line, immediately.
     fn record_success(&self, ni: usize) {
-        {
-            let mut health = fault::lock(&self.health);
-            let h = &mut health[ni];
-            h.consecutive_failures = 0;
-            if h.state != NodeState::Up {
-                h.state = NodeState::Up;
-                h.to_up += 1;
-            }
+        let mut health = fault::lock(&self.health);
+        let h = &mut health[ni];
+        h.consecutive_failures = 0;
+        if h.state != NodeState::Up {
+            h.state = NodeState::Up;
+            h.to_up += 1;
         }
-        self.mark_alive(ni);
     }
 
     /// One failure (probe or forward) extends the streak; crossing
@@ -753,6 +612,24 @@ impl Inner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ktiler_svc::{
+        serve_with, ScheduleResponse, ServerTuning, Service, ServiceConfig, WorkloadSpec,
+    };
+
+    /// Queues `req` on the gateway and waits for the forwarder's answer.
+    fn schedule(gw: &Gateway, req: &ScheduleRequest) -> Result<ScheduleResponse, SvcError> {
+        let Dispatch::Pending(mut ticket) = gw.handle(Request::Schedule(req.clone())) else {
+            panic!("schedule should queue");
+        };
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            if let Some(r) = ticket.try_take() {
+                return r;
+            }
+            assert!(Instant::now() < deadline, "forwarder never answered");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
 
     #[test]
     fn gateway_stats_render_and_fetch_is_rejected() {
@@ -764,14 +641,11 @@ mod tests {
             "forwarded",
             "failovers",
             "sheds",
-            "local_fallbacks",
-            "replications",
-            "replication_failures",
             "errors",
             "forward_latency_us",
             "nodes",
             "addr",
-            "dead",
+            "state",
         ] {
             assert!(json.contains(&format!("\"{field}\"")), "{field} missing from {json}");
         }
@@ -784,8 +658,8 @@ mod tests {
 
     #[test]
     fn unreachable_nodes_without_fallback_yield_internal() {
-        // Dial an address nothing listens on; both owners fail, no local
-        // fallback is configured, so the client gets a structured error.
+        // Dial an address nothing listens on; every owner fails, so the
+        // client gets a structured error.
         let addr = {
             let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
             l.local_addr().expect("addr").to_string()
@@ -794,22 +668,64 @@ mod tests {
         cfg.node_timeout = Duration::from_millis(200);
         cfg.forwarders = 1;
         let gw = Gateway::start(cfg).expect("start");
-        let req = ScheduleRequest::new(ktiler_svc::WorkloadSpec::OptFlow {
-            size: 32,
-            iters: 2,
-            levels: 2,
-        });
-        let Dispatch::Pending(mut ticket) = gw.handle(Request::Schedule(req)) else {
-            panic!("schedule should queue");
-        };
-        let deadline = Instant::now() + Duration::from_secs(10);
-        let result = loop {
-            if let Some(r) = ticket.try_take() {
-                break r;
-            }
-            assert!(Instant::now() < deadline, "forwarder never answered");
-            std::thread::sleep(Duration::from_millis(10));
-        };
+        let req = ScheduleRequest::new(WorkloadSpec::OptFlow { size: 32, iters: 2, levels: 2 });
+        let result = schedule(&gw, &req);
         assert!(matches!(result, Err(SvcError::Internal(_))), "{result:?}");
+    }
+
+    #[test]
+    fn a_failed_owner_drops_behind_its_co_owner_until_it_recovers() {
+        // One owner nothing listens on, one live in-process node; probing
+        // off, so only forwards move the state machine.
+        let dead = {
+            let l = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+            l.local_addr().expect("addr").to_string()
+        };
+        let dir = std::env::temp_dir().join(format!("ktiler-gw-suspect-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut scfg = ServiceConfig::new(&dir);
+        scfg.workers = 1;
+        let svc = Arc::new(Service::start(scfg).expect("start node"));
+        let server =
+            serve_with("127.0.0.1:0", Arc::clone(&svc), ServerTuning::default()).expect("serve");
+        let live = server.local_addr().to_string();
+
+        let mut cfg = GatewayConfig::new(vec![dead.clone(), live]);
+        cfg.probe_interval = None;
+        cfg.forwarders = 1;
+        cfg.node_timeout = Duration::from_secs(5);
+        let gw = Gateway::start(cfg).expect("start");
+        let (dead_ni, live_ni) = (0, 1);
+        let req = (1..64)
+            .map(|iters| ScheduleRequest::new(WorkloadSpec::OptFlow { size: 32, iters, levels: 2 }))
+            .find(|r| gw.ring().primary(&r.routing_key()) == Some(dead.as_str()))
+            .expect("some spec's primary owner is the dead node");
+        let rk = req.routing_key();
+        let failures = || gw.inner.node_stats[dead_ni].failures.load(Ordering::Relaxed);
+        assert_eq!(gw.inner.route(&rk), vec![dead_ni, live_ni], "ring order while both are Up");
+
+        // The first request pays the discovery: it fails over, and the
+        // one failed forward makes the dead owner Suspect.
+        schedule(&gw, &req).expect("failover answer");
+        assert_eq!((gw.failovers(), failures()), (1, 1));
+        assert_eq!(gw.node_state(&dead), Some((NodeState::Suspect, false)));
+
+        // The next requests go straight to the Up co-owner: no failover,
+        // no new failure — and the Suspect node is still an owner.
+        for _ in 0..2 {
+            schedule(&gw, &req).expect("answer from the Up owner");
+            assert_eq!((gw.failovers(), failures()), (1, 1));
+        }
+        assert_eq!(gw.inner.route(&rk), vec![live_ni, dead_ni]);
+
+        // One success (a probe or forward) restores ring order.
+        gw.inner.record_success(dead_ni);
+        assert_eq!(gw.node_state(&dead), Some((NodeState::Up, false)));
+        assert_eq!(gw.inner.route(&rk), vec![dead_ni, live_ni]);
+
+        drop(gw);
+        drop(server);
+        svc.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -6,6 +6,7 @@
 //! byte-identical to the single-node reference, zero client-visible
 //! errors.
 
+use std::net::TcpListener;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -51,6 +52,29 @@ fn start_node_with(
     (server, svc, addr)
 }
 
+/// Reserves `n` distinct loopback addresses by binding and dropping
+/// listeners, so nodes can name each other as peers before either starts.
+fn reserve_addrs(n: usize) -> Vec<String> {
+    let listeners: Vec<TcpListener> =
+        (0..n).map(|_| TcpListener::bind("127.0.0.1:0").expect("bind")).collect();
+    listeners.iter().map(|l| l.local_addr().expect("addr").to_string()).collect()
+}
+
+/// Blocks until every node's `DIGEST` lists the same non-empty key set.
+fn wait_digest_parity(nodes: &[&str]) {
+    let timeout = Duration::from_millis(2000);
+    let deadline = Instant::now() + Duration::from_secs(30);
+    loop {
+        let digests: Vec<_> =
+            nodes.iter().map(|n| digest_from_peer(n, timeout).expect("digest")).collect();
+        if !digests[0].is_empty() && digests.iter().all(|d| *d == digests[0]) {
+            return;
+        }
+        assert!(Instant::now() < deadline, "anti-entropy never reached parity: {digests:?}");
+        std::thread::sleep(Duration::from_millis(25));
+    }
+}
+
 fn schedule_via(addr: &str, req: &ScheduleRequest) -> ScheduleResponse {
     let mut c = NetClient::connect(addr).expect("connect");
     match c.request(&Request::Schedule(req.clone())).expect("request") {
@@ -73,26 +97,28 @@ fn killing_the_owning_node_fails_over_byte_identically() {
     let req = small_request();
     let reference = reference_text("ref-kill", &req);
 
-    let (server_a, svc_a, addr_a) = start_node("kill-a", vec![]);
-    let (server_b, svc_b, addr_b) = start_node("kill-b", vec![]);
-    let nodes = vec![addr_a.clone(), addr_b.clone()];
+    // The two nodes name each other as peers and run anti-entropy, the
+    // one path that warms the co-owner before the owner dies.
+    let addrs = reserve_addrs(2);
+    let sync = Some(Duration::from_millis(50));
+    let (server_a, svc_a, addr_a) =
+        start_node_with("kill-a", &addrs[0], vec![addrs[1].clone()], sync);
+    let (server_b, svc_b, addr_b) =
+        start_node_with("kill-b", &addrs[1], vec![addrs[0].clone()], sync);
 
-    let mut gcfg = GatewayConfig::new(nodes.clone());
-    // Replicate on the very first response, so the replica holds the
-    // artifact before the owner dies.
-    gcfg.hot_threshold = 1;
+    let mut gcfg = GatewayConfig::new(vec![addr_a.clone(), addr_b.clone()]);
     gcfg.forwarders = 2;
     gcfg.node_timeout = Duration::from_secs(10);
-    gcfg.dead_cooldown = Duration::from_millis(200);
     let gw = Arc::new(Gateway::start(gcfg).expect("start gateway"));
     let owner_addr = gw.ring().primary(&req.routing_key()).expect("owner").to_string();
     let gw_server =
         serve_front("127.0.0.1:0", Arc::clone(&gw), ServerTuning::default()).expect("serve gw");
     let gw_addr = gw_server.local_addr().to_string();
 
-    // Warm: computed on the owner, replicated to the other node.
+    // Warm: computed on the owner, pulled by the other node.
     let first = schedule_via(&gw_addr, &req);
     assert_eq!(first.text, reference, "warm response diverged from the reference");
+    wait_digest_parity(&[&addr_a, &addr_b]);
 
     // Kill the owning node: server torn down, service stopped, port gone.
     let (dead_server, dead_svc) =
@@ -101,16 +127,12 @@ fn killing_the_owning_node_fails_over_byte_identically() {
     dead_svc.shutdown();
 
     // The gateway's pooled connection to the owner is now dead; the next
-    // requests must fail over to the replica with byte-identical answers
-    // and zero client-visible errors.
+    // requests must fail over to the warm co-owner: byte-identical local
+    // hits, zero client-visible errors.
     for _ in 0..3 {
         let resp = schedule_via(&gw_addr, &req);
         assert_eq!(resp.text, reference, "failover response diverged from the reference");
-        assert_ne!(
-            resp.outcome,
-            Outcome::DegradedUntiled,
-            "failover must serve the real schedule, not the degraded fallback"
-        );
+        assert_eq!(resp.outcome, Outcome::Hit, "the co-owner must already hold the artifact");
     }
     assert!(gw.failovers() >= 1, "the gateway never recorded a failover");
 
@@ -214,12 +236,9 @@ fn flapping_node_walks_up_down_up_with_zero_client_errors() {
     let (server_b, svc_b, addr_b) = start_node("flap-b", vec![]);
 
     let mut gcfg = GatewayConfig::new(vec![addr_a.clone(), addr_b.clone()]);
-    // Replicate on the first response so both nodes hold the artifact
-    // before anything dies; probe fast so the test sees the transitions.
-    gcfg.hot_threshold = 1;
+    // Probe fast so the test sees the transitions.
     gcfg.forwarders = 2;
     gcfg.node_timeout = Duration::from_secs(5);
-    gcfg.dead_cooldown = Duration::from_millis(100);
     gcfg.probe_interval = Some(Duration::from_millis(25));
     gcfg.suspect_after = 1;
     gcfg.down_after = 2;

@@ -17,7 +17,8 @@
 //!   over TCP served by a single-threaded readiness event loop ([`serve`],
 //!   [`NetClient`], [`FrontEnd`]), so one warmed cache can serve many
 //!   processes — and many *nodes*: peers read-through-fill each other's
-//!   misses (`FETCH`/`PUT`), and the `ktiler-gateway` crate shards the key
+//!   misses (`FETCH`) and repair each other's key sets by anti-entropy
+//!   (`DIGEST`/`SYNC`), and the `ktiler-gateway` crate shards the key
 //!   space over a consistent-hash ring of such nodes;
 //! * [`fault`] — a deterministic fault-injection layer ([`FaultInjector`],
 //!   [`FaultPlan`]): named fault points compiled into the hot paths, armed

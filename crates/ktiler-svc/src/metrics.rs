@@ -143,8 +143,6 @@ pub struct Metrics {
     pub peer_fetch_failures: AtomicU64,
     /// `FETCH` requests this node answered from its cache for a peer.
     pub fetches_served: AtomicU64,
-    /// Artifacts stored via `PUT` (gateway hot-key replication).
-    pub replica_stores: AtomicU64,
     /// Stores skipped because the cache volume was out of space — the
     /// response was still served from the computed schedule; only the
     /// persist was bypassed (cache-bypass degradation, never an error).
@@ -199,7 +197,7 @@ impl Metrics {
              \"store_failures\": {},\n  \"errors\": {},\n  \"worker_panics\": {},\n  \
              \"workers_respawned\": {},\n  \"degraded_total\": {},\n  \"peer_fills\": {},\n  \
              \"peer_fetch_failures\": {},\n  \"fetches_served\": {},\n  \
-             \"replica_stores\": {},\n  \"store_skipped\": {},\n  \
+             \"store_skipped\": {},\n  \
              \"quarantine_failures\": {},\n  \"cache_evictions\": {},\n  \
              \"tmp_recovered\": {},\n  \"digests_served\": {},\n  \
              \"sync_rounds\": {},\n  \"sync_pulls\": {},\n  \
@@ -223,7 +221,6 @@ impl Metrics {
             c(&self.peer_fills),
             c(&self.peer_fetch_failures),
             c(&self.fetches_served),
-            c(&self.replica_stores),
             c(&self.store_skipped),
             c(&self.quarantine_failures),
             c(&self.cache_evictions),
@@ -298,7 +295,6 @@ mod tests {
             "peer_fills",
             "peer_fetch_failures",
             "fetches_served",
-            "replica_stores",
             "store_skipped",
             "quarantine_failures",
             "cache_evictions",

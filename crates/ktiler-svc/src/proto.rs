@@ -11,12 +11,11 @@
 //! with a typed `VersionMismatch` — gateway↔node and client↔gateway
 //! frames can evolve without silent misparses.
 //!
-//! Request payloads are a single line (plus, for `PUT`, a body):
+//! Request payloads are a single line:
 //!
 //! ```text
 //! SCHEDULE optflow size=64 iters=3 levels=2 freq=1324,5010 deadline_ms=500
 //! FETCH <32 hex>                     peer read-through: raw artifact or NOT_FOUND
-//! PUT <32 hex>                       (body: the .sched text) replicate an artifact
 //! DIGEST                             anti-entropy: the node's live key set
 //! SYNC                               anti-entropy: run one repair round now
 //! DRAIN <addr> [off]                 gateway admin: (un)drain a node
@@ -30,7 +29,6 @@
 //! ```text
 //! OK HIT key=<32 hex> launches=<n>   (body: the .sched text)
 //! OK ARTIFACT key=<32 hex>           (body: the raw artifact text)
-//! OK STORED
 //! OK DIGEST count=<n>                (body: one 32-hex key per line)
 //! OK SYNCED pulled=<p> failed=<f> peers=<n>
 //! OK DRAINED node=<addr> draining=<true|false>
@@ -40,15 +38,13 @@
 //! ERR <CODE> <message>
 //! ```
 //!
-//! **Per-verb frame budgets.** Only `SCHEDULE` and `PUT` legitimately
-//! carry large payloads; every other verb is a short control line. A
+//! **Request frame cap.** Every request is one short line, so a
 //! server-side decoder built with [`FrameDecoder::for_requests`] caps
-//! control-verb payloads at [`MAX_CONTROL_FRAME`]: as soon as the verb of
-//! an over-budget frame is identified the decoder stops buffering,
-//! discards the rest of the payload (framing stays intact), and reports
-//! [`DecodeEvent::OversizedControl`] so the server can answer with a
-//! typed error instead of first allocating up to [`MAX_FRAME`] bytes for
-//! a `PING`.
+//! request payloads at [`MAX_REQUEST_FRAME`], checked as soon as the frame
+//! header is read: an over-cap frame is never buffered — the decoder
+//! discards its payload as it streams in (framing stays intact) and
+//! reports [`DecodeEvent::Oversized`] so the server can answer with a
+//! typed error instead of first allocating up to [`MAX_FRAME`] bytes.
 
 use std::io::{self, BufRead, Write};
 
@@ -66,21 +62,15 @@ pub const PROTO_VERSION: u8 = 1;
 /// unbounded memory.
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// Largest accepted payload for control verbs (everything except
-/// `SCHEDULE` and `PUT`) on a server-side request decoder built with
-/// [`FrameDecoder::for_requests`]. Control requests are one short line, so
+/// Largest accepted request payload on a server-side decoder built with
+/// [`FrameDecoder::for_requests`]. Every request is one short line, so
 /// 4 KiB is orders of magnitude of slack — and rejecting above it means a
-/// hostile `PING` cannot make the server allocate [`MAX_FRAME`] bytes.
-pub const MAX_CONTROL_FRAME: usize = 4096;
+/// hostile peer cannot make the server allocate [`MAX_FRAME`] bytes.
+pub const MAX_REQUEST_FRAME: usize = 4096;
 
 /// Longest accepted frame header (decimal digits between the version byte
 /// and the newline).
 const MAX_HEADER_DIGITS: usize = 20;
-
-/// How many leading payload bytes suffice to identify a request verb: the
-/// longest real verb (`SCHEDULE`) is 8 bytes, so any undelimited token this
-/// long is already known not to be an exempt verb.
-const VERB_PROBE: usize = 12;
 
 fn bad(m: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, m)
@@ -126,28 +116,15 @@ pub enum DecodeEvent {
         /// The version byte the peer sent.
         got: u8,
     },
-    /// A control-verb frame whose declared payload exceeds
-    /// [`MAX_CONTROL_FRAME`] on a budgeted decoder
-    /// ([`FrameDecoder::for_requests`]). The payload was consumed and
-    /// discarded — never buffered — so the stream stays framed and the
-    /// server can answer with a typed [`SvcError::BadRequest`].
-    OversizedControl {
-        /// The verb token the frame led with (possibly truncated to the
-        /// probe window for unknown verbs).
-        verb: String,
+    /// A frame whose declared payload exceeds [`MAX_REQUEST_FRAME`] on a
+    /// capped decoder ([`FrameDecoder::for_requests`]). The payload was
+    /// consumed and discarded — never buffered — so the stream stays
+    /// framed and the server can answer with a typed
+    /// [`SvcError::BadRequest`].
+    Oversized {
         /// The payload length the frame header declared.
         declared: usize,
     },
-}
-
-/// What [`FrameDecoder::classify`] concluded about an over-budget frame.
-enum Classified {
-    /// Not enough bytes yet to identify the verb.
-    Undecided,
-    /// A bulk verb (`SCHEDULE`/`PUT`) — buffer the payload normally.
-    Exempt,
-    /// A control verb — discard the payload and report it.
-    Control(String),
 }
 
 #[derive(Debug)]
@@ -156,13 +133,11 @@ enum DecodeState {
     Version,
     /// Version consumed; accumulating length digits up to the newline.
     Length { version: u8, digits: Vec<u8> },
-    /// Header complete; consuming payload bytes. `exempt` is true once the
-    /// frame is known to be allowed its full declared length (in-budget,
-    /// foreign-version, or a bulk verb).
-    Payload { version: u8, expected: usize, got: Vec<u8>, exempt: bool },
-    /// An over-budget control frame: consuming (and dropping) the payload
-    /// remainder so the stream stays framed.
-    Discard { verb: String, declared: usize, remaining: usize },
+    /// Header complete; consuming payload bytes.
+    Payload { version: u8, expected: usize, got: Vec<u8> },
+    /// An over-cap frame: consuming (and dropping) the payload remainder
+    /// so the stream stays framed.
+    Discard { declared: usize, remaining: usize },
 }
 
 /// An incremental frame decoder: feed it whatever bytes a non-blocking
@@ -173,7 +148,7 @@ enum DecodeState {
 #[derive(Debug)]
 pub struct FrameDecoder {
     state: DecodeState,
-    control_budget: Option<usize>,
+    frame_cap: Option<usize>,
 }
 
 impl Default for FrameDecoder {
@@ -183,19 +158,17 @@ impl Default for FrameDecoder {
 }
 
 impl FrameDecoder {
-    /// A decoder at a frame boundary with no per-verb budget (the right
-    /// choice for response streams, where bulk payloads are the norm).
+    /// A decoder at a frame boundary capped only by [`MAX_FRAME`] (the
+    /// right choice for response streams, where artifacts are the norm).
     pub fn new() -> Self {
-        FrameDecoder { state: DecodeState::Version, control_budget: None }
+        FrameDecoder { state: DecodeState::Version, frame_cap: None }
     }
 
-    /// A decoder for server-side request streams: control verbs are held
-    /// to [`MAX_CONTROL_FRAME`]. An over-budget control frame is consumed
-    /// without buffering and reported as
-    /// [`DecodeEvent::OversizedControl`]; `SCHEDULE` and `PUT` frames are
-    /// exempt up to [`MAX_FRAME`].
+    /// A decoder for server-side request streams: payloads are held to
+    /// [`MAX_REQUEST_FRAME`]. An over-cap frame is consumed without
+    /// buffering and reported as [`DecodeEvent::Oversized`].
     pub fn for_requests() -> Self {
-        FrameDecoder { state: DecodeState::Version, control_budget: Some(MAX_CONTROL_FRAME) }
+        FrameDecoder { state: DecodeState::Version, frame_cap: Some(MAX_REQUEST_FRAME) }
     }
 
     /// Whether at least one byte of the current frame has been consumed —
@@ -252,20 +225,21 @@ impl FrameDecoder {
                             )));
                         }
                         let version = *version;
-                        if len == 0 {
+                        // Foreign-version payloads are consumed and dropped
+                        // wholesale by `complete`, so the cap only concerns
+                        // our own version.
+                        let over_cap =
+                            version == PROTO_VERSION && self.frame_cap.is_some_and(|cap| len > cap);
+                        if over_cap {
+                            self.state = DecodeState::Discard { declared: len, remaining: len };
+                        } else if len == 0 {
                             events.push(Self::complete(version, Vec::new()));
                             self.state = DecodeState::Version;
                         } else {
-                            // Foreign-version payloads are already consumed
-                            // and dropped wholesale by `complete`, so the
-                            // budget only concerns our own version.
-                            let exempt = version != PROTO_VERSION
-                                || self.control_budget.is_none_or(|b| len <= b);
                             self.state = DecodeState::Payload {
                                 version,
                                 expected: len,
                                 got: Vec::with_capacity(len.min(64 << 10)),
-                                exempt,
                             };
                         }
                     } else if !b.is_ascii_digit() || digits.len() >= MAX_HEADER_DIGITS {
@@ -274,62 +248,28 @@ impl FrameDecoder {
                         digits.push(b);
                     }
                 }
-                DecodeState::Payload { version, expected, got, exempt } => {
+                DecodeState::Payload { version, expected, got } => {
                     let take = (*expected - got.len()).min(bytes.len());
                     got.extend_from_slice(&bytes[..take]);
                     bytes = &bytes[take..];
-                    if !*exempt {
-                        match Self::classify(got, *expected) {
-                            Classified::Undecided => {}
-                            Classified::Exempt => *exempt = true,
-                            Classified::Control(verb) => {
-                                let declared = *expected;
-                                let remaining = declared - got.len();
-                                if remaining == 0 {
-                                    events.push(DecodeEvent::OversizedControl { verb, declared });
-                                    self.state = DecodeState::Version;
-                                } else {
-                                    self.state = DecodeState::Discard { verb, declared, remaining };
-                                }
-                                continue;
-                            }
-                        }
-                    }
                     if got.len() == *expected {
                         let payload = std::mem::take(got);
                         events.push(Self::complete(*version, payload));
                         self.state = DecodeState::Version;
                     }
                 }
-                DecodeState::Discard { verb, declared, remaining } => {
+                DecodeState::Discard { declared, remaining } => {
                     let take = (*remaining).min(bytes.len());
                     bytes = &bytes[take..];
                     *remaining -= take;
                     if *remaining == 0 {
-                        let verb = std::mem::take(verb);
-                        let declared = *declared;
-                        events.push(DecodeEvent::OversizedControl { verb, declared });
+                        events.push(DecodeEvent::Oversized { declared: *declared });
                         self.state = DecodeState::Version;
                     }
                 }
             }
         }
         Ok(())
-    }
-
-    /// Identifies the verb of an over-budget frame from its leading bytes.
-    /// A decision needs either a delimiter, a token longer than any exempt
-    /// verb, or the full payload.
-    fn classify(got: &[u8], expected: usize) -> Classified {
-        let end = match got.iter().position(|&b| matches!(b, b' ' | b'\n' | b'\r')) {
-            Some(e) => e,
-            None if got.len() >= VERB_PROBE || got.len() == expected => got.len().min(VERB_PROBE),
-            None => return Classified::Undecided,
-        };
-        match &got[..end.min(VERB_PROBE)] {
-            b"SCHEDULE" | b"PUT" => Classified::Exempt,
-            verb => Classified::Control(String::from_utf8_lossy(verb).into_owned()),
-        }
     }
 
     fn complete(version: u8, payload: Vec<u8>) -> DecodeEvent {
@@ -396,11 +336,9 @@ pub fn read_frame_polled<R: BufRead>(
                         DecodeEvent::Frame(p) => return Ok(Some(p)),
                         DecodeEvent::BadVersion { got } => return Err(version_error(got)),
                         // Unreachable: the blocking readers drive an
-                        // unbudgeted decoder.
-                        DecodeEvent::OversizedControl { verb, declared } => {
-                            return Err(bad(format!(
-                                "oversized control frame ({verb}, {declared} bytes)"
-                            )));
+                        // uncapped decoder.
+                        DecodeEvent::Oversized { declared } => {
+                            return Err(bad(format!("oversized frame ({declared} bytes)")));
                         }
                     }
                 }
@@ -424,15 +362,6 @@ pub enum Request {
     /// verification — the fetching peer re-verifies against its own
     /// request context before serving or storing the artifact.
     Fetch(CacheKey),
-    /// Replicate an artifact into this node's cache (gateway hot-key
-    /// replication). The text is parsed for sanity on receipt and, like
-    /// every artifact, re-verified on any later load.
-    Put {
-        /// The content-addressed key the artifact is stored under.
-        key: CacheKey,
-        /// The artifact text.
-        text: String,
-    },
     /// Anti-entropy: ask for the node's live cache key set (one key per
     /// body line in the response) so a replica peer can pull what it is
     /// missing.
@@ -460,8 +389,7 @@ pub enum Request {
 impl Request {
     /// Whether retrying this request after a transport failure is safe.
     /// Scheduling is a pure function of its inputs,
-    /// `FETCH`/`DIGEST`/`STATS`/`PING` are read-only, `PUT` stores
-    /// content-addressed bytes (a resend stores the identical artifact),
+    /// `FETCH`/`DIGEST`/`STATS`/`PING` are read-only,
     /// `SYNC` converges toward the same state however often it runs, and
     /// `DRAIN` sets a flag to an absolute value; `SHUTDOWN` is not
     /// idempotent — a retry could reach (and kill) a freshly restarted
@@ -470,7 +398,6 @@ impl Request {
         match self {
             Request::Schedule(_)
             | Request::Fetch(_)
-            | Request::Put { .. }
             | Request::Digest
             | Request::Sync
             | Request::Drain { .. }
@@ -480,8 +407,7 @@ impl Request {
         }
     }
 
-    /// Renders the request's status line (the body of a `PUT` is not
-    /// included — see [`Request::encode`]).
+    /// Renders the request line.
     pub fn to_line(&self) -> String {
         match self {
             Request::Schedule(req) => {
@@ -493,7 +419,6 @@ impl Request {
                 line
             }
             Request::Fetch(key) => format!("FETCH {key}"),
-            Request::Put { key, .. } => format!("PUT {key}"),
             Request::Digest => "DIGEST".into(),
             Request::Sync => "SYNC".into(),
             Request::Drain { node, on } => {
@@ -507,22 +432,15 @@ impl Request {
 
     /// Encodes the request as a frame payload.
     pub fn encode(&self) -> Vec<u8> {
-        match self {
-            Request::Put { text, .. } => format!("{}\n{text}", self.to_line()).into_bytes(),
-            _ => self.to_line().into_bytes(),
-        }
+        self.to_line().into_bytes()
     }
 
-    /// Parses a request line (without any body).
+    /// Parses a request line.
     ///
     /// # Errors
     ///
     /// A human-readable description of the malformed line.
     pub fn parse_line(line: &str) -> Result<Self, String> {
-        Self::parse_parts(line, "")
-    }
-
-    fn parse_parts(line: &str, body: &str) -> Result<Self, String> {
         let tokens: Vec<&str> = line.split_whitespace().collect();
         match tokens.split_first() {
             Some((&"SCHEDULE", rest)) => {
@@ -557,13 +475,6 @@ impl Request {
                 let key = key.parse().map_err(|_| format!("bad cache key '{key}'"))?;
                 Ok(Request::Fetch(key))
             }
-            Some((&"PUT", [key])) => {
-                let key = key.parse().map_err(|_| format!("bad cache key '{key}'"))?;
-                if body.is_empty() {
-                    return Err("PUT carries no artifact body".into());
-                }
-                Ok(Request::Put { key, text: body.to_string() })
-            }
             Some((&"DIGEST", [])) => Ok(Request::Digest),
             Some((&"SYNC", [])) => Ok(Request::Sync),
             Some((&"DRAIN", rest)) => match rest {
@@ -586,11 +497,7 @@ impl Request {
     /// A human-readable description of the malformed payload.
     pub fn decode(payload: &[u8]) -> Result<Self, String> {
         let text = std::str::from_utf8(payload).map_err(|_| "request is not UTF-8".to_string())?;
-        let (line, body) = match text.split_once('\n') {
-            Some((l, b)) => (l, b),
-            None => (text, ""),
-        };
-        Self::parse_parts(line.trim_end_matches('\r'), body)
+        Self::parse_line(text.lines().next().unwrap_or(""))
     }
 }
 
@@ -606,8 +513,6 @@ pub enum Response {
         /// The artifact's exact bytes as stored.
         text: String,
     },
-    /// Acknowledgement of a [`Request::Put`].
-    Stored,
     /// The node's live cache key set answering a [`Request::Digest`].
     Digest(Vec<CacheKey>),
     /// Result of a [`Request::Sync`] repair round.
@@ -651,7 +556,6 @@ impl Response {
             Response::Artifact { key, text } => {
                 format!("OK ARTIFACT key={key}\n{text}").into_bytes()
             }
-            Response::Stored => b"OK STORED".to_vec(),
             Response::Digest(keys) => {
                 let mut out = format!("OK DIGEST count={}", keys.len());
                 for key in keys {
@@ -701,7 +605,6 @@ impl Response {
         match tokens.as_slice() {
             ["OK", "PONG"] => Ok(Response::Pong),
             ["OK", "BYE"] => Ok(Response::Bye),
-            ["OK", "STORED"] => Ok(Response::Stored),
             ["OK", "STATS"] => Ok(Response::Stats(body.to_string())),
             ["OK", "ARTIFACT", key] => {
                 let key = key
@@ -889,10 +792,6 @@ mod tests {
                 levels: 3,
             })),
             Request::Fetch(CacheKey { hi: 0xfeed, lo: 0xbeef }),
-            Request::Put {
-                key: CacheKey { hi: 1, lo: 2 },
-                text: "# schedule\nlaunch k0: all\n".to_string(),
-            },
             Request::Digest,
             Request::Sync,
             Request::Drain { node: "127.0.0.1:4100".into(), on: true },
@@ -913,16 +812,6 @@ mod tests {
     }
 
     #[test]
-    fn put_body_is_byte_exact() {
-        let text = "line one\n\nline three with  spaces\n".to_string();
-        let req = Request::Put { key: CacheKey { hi: 9, lo: 9 }, text: text.clone() };
-        let Request::Put { text: back, .. } = Request::decode(&req.encode()).unwrap() else {
-            panic!("wrong variant");
-        };
-        assert_eq!(back, text);
-    }
-
-    #[test]
     fn schedule_request_defaults_apply() {
         let req = Request::parse_line("SCHEDULE optflow size=64 iters=3 levels=2").unwrap();
         let Request::Schedule(req) = req else { panic!("not a schedule request") };
@@ -937,8 +826,7 @@ mod tests {
             "",
             "FETCH optflow",
             "FETCH",
-            "PUT 0123456789abcdef0123456789abcdef", // no body
-            "PUT xyz",
+            "PUT 0123456789abcdef0123456789abcdef",
             "SCHEDULE mandelbrot",
             "SCHEDULE optflow freq=fast,5010",
             "SCHEDULE optflow freq=1324",
@@ -1030,7 +918,6 @@ mod tests {
         assert!(Request::Ping.is_idempotent());
         assert!(Request::Stats.is_idempotent());
         assert!(Request::Fetch(CacheKey { hi: 1, lo: 2 }).is_idempotent());
-        assert!(Request::Put { key: CacheKey { hi: 1, lo: 2 }, text: "x\n".into() }.is_idempotent());
         assert!(Request::Schedule(ScheduleRequest::new(WorkloadSpec::OptFlow {
             size: 64,
             iters: 3,
@@ -1056,7 +943,6 @@ mod tests {
                 key: CacheKey { hi: 5, lo: 6 },
                 text: "# schedule\nlaunch k1: all\n".to_string(),
             },
-            Response::Stored,
             Response::Digest(vec![]),
             Response::Digest(vec![CacheKey { hi: 0xdead, lo: 0xbeef }, CacheKey { hi: 1, lo: 2 }]),
             Response::Synced { pulled: 12, failed: 1, peers: 2 },
@@ -1100,48 +986,41 @@ mod tests {
 
     #[test]
     fn oversized_control_frames_are_discarded_not_buffered() {
-        let declared = MAX_CONTROL_FRAME + 1;
-        let mut wire = format!("{PROTO_VERSION}{declared}\n").into_bytes();
-        let mut payload = b"PING ".to_vec();
-        payload.resize(declared, b'x');
-        wire.extend_from_slice(&payload);
-        // A well-formed frame behind the oversized one must still decode:
-        // the discard keeps the stream framed.
-        write_frame(&mut wire, b"PING").unwrap();
+        // Every request is held to the same cap, whatever it leads with:
+        // a padded control line, an unknown verb carrying an artifact
+        // body, and a `SCHEDULE` line padded past 4 KiB.
+        let put = format!("PUT {}\n# schedule\n", CacheKey { hi: 1, lo: 2 });
+        for lead in [&b"PING "[..], put.as_bytes(), b"SCHEDULE optflow size=64 "] {
+            let declared = MAX_REQUEST_FRAME + 1;
+            let mut wire = format!("{PROTO_VERSION}{declared}\n").into_bytes();
+            let mut payload = lead.to_vec();
+            payload.resize(declared, b'x');
+            wire.extend_from_slice(&payload);
+            // A well-formed frame behind the oversized one must still
+            // decode: the discard keeps the stream framed.
+            write_frame(&mut wire, b"PING").unwrap();
 
-        for chunk in [1usize, 7, wire.len()] {
-            let mut dec = FrameDecoder::for_requests();
-            let mut events = Vec::new();
-            for piece in wire.chunks(chunk) {
-                dec.feed(piece, &mut events).unwrap();
+            for chunk in [1usize, 7, wire.len()] {
+                let mut dec = FrameDecoder::for_requests();
+                let mut events = Vec::new();
+                for piece in wire.chunks(chunk) {
+                    dec.feed(piece, &mut events).unwrap();
+                    // Never buffered: the header alone condemns the frame.
+                    let buffering = matches!(
+                        dec.state,
+                        DecodeState::Payload { expected, .. } if expected == declared
+                    );
+                    assert!(!buffering, "an over-cap payload must not be buffered");
+                }
+                assert_eq!(
+                    events,
+                    vec![DecodeEvent::Oversized { declared }, DecodeEvent::Frame(b"PING".to_vec())],
+                    "chunk size {chunk}, lead {:?}",
+                    String::from_utf8_lossy(lead)
+                );
+                assert!(!dec.mid_frame(), "back at a frame boundary");
             }
-            assert_eq!(
-                events,
-                vec![
-                    DecodeEvent::OversizedControl { verb: "PING".into(), declared },
-                    DecodeEvent::Frame(b"PING".to_vec()),
-                ],
-                "chunk size {chunk}"
-            );
-            assert!(!dec.mid_frame(), "back at a frame boundary");
         }
-    }
-
-    #[test]
-    fn bulk_verbs_are_exempt_from_the_control_budget() {
-        let req = Request::Put {
-            key: CacheKey { hi: 1, lo: 2 },
-            text: "x".repeat(MAX_CONTROL_FRAME * 2),
-        };
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &req.encode()).unwrap();
-        let mut dec = FrameDecoder::for_requests();
-        let mut events = Vec::new();
-        dec.feed(&wire, &mut events).unwrap();
-        let [DecodeEvent::Frame(payload)] = events.as_slice() else {
-            panic!("expected exactly one frame, got {events:?}");
-        };
-        assert_eq!(Request::decode(payload).unwrap(), req);
     }
 
     #[test]

@@ -783,32 +783,6 @@ impl Client {
         Some(text)
     }
 
-    /// Stores a replicated artifact (`PUT`, gateway hot-key replication).
-    /// The text must parse as a schedule — a sanity check, not trust: like
-    /// every artifact, it is fully re-verified on any later load.
-    ///
-    /// # Errors
-    ///
-    /// [`SvcError::BadRequest`] for unparseable text,
-    /// [`SvcError::Internal`] when the store itself fails — including a
-    /// skip for disk pressure: the whole point of a `PUT` is persistence,
-    /// so "not stored" is an honest error here, unlike the schedule path
-    /// where the response is served either way.
-    pub fn put_artifact(&self, key: &CacheKey, text: &str) -> Result<(), SvcError> {
-        schedule_from_text(text)
-            .map_err(|e| SvcError::BadRequest(format!("artifact does not parse: {e}")))?;
-        match self.inner.cache.store(key, text) {
-            Ok(StoreOutcome::Stored) => {
-                bump(&self.inner.metrics.replica_stores);
-                Ok(())
-            }
-            Ok(StoreOutcome::SkippedNoSpace) => {
-                Err(SvcError::Internal("artifact store skipped: volume out of space".into()))
-            }
-            Err(e) => Err(SvcError::Internal(format!("artifact store failed: {e}"))),
-        }
-    }
-
     /// The node's live cache key set — answers the anti-entropy `DIGEST`
     /// verb. Quarantined artifacts are absent by design, which is what
     /// makes a peer's good copy eligible to be pulled back in.
@@ -1129,8 +1103,8 @@ impl Inner {
     /// One anti-entropy repair round: ask each configured peer for its key
     /// digest, pull every key this node is missing, and store it after a
     /// parse sanity check (full verification — which needs the request's
-    /// graph and trace — happens on every later load, exactly as for `PUT`
-    /// artifacts). Returns `(pulled, failed, peers_consulted)`.
+    /// graph and trace — happens on every later load, exactly as for peer
+    /// fills). Returns `(pulled, failed, peers_consulted)`.
     ///
     /// Routing keys are not content keys, so a node cannot range-filter
     /// the digest to "its" ring segment; replica groups exchange whole key

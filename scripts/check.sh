@@ -219,9 +219,10 @@ grep -qF '"requests": 3' "$SVC_DIR/stats.json" \
 echo "== multi-node smoke test (2 nodes + gateway) =="
 # The deployment story live: two peered nodes behind a gateway, driven
 # miss -> hit -> kill-the-owning-node -> failover, every answer
-# byte-identical. --hot-threshold 1 replicates the artifact to the
-# replica owner on the first response, so the post-kill request must be
-# served without a recompute.
+# byte-identical. The nodes name each other with --peer and run
+# anti-entropy every 200 ms, so once their digests match the co-owner
+# holds the artifact and the post-kill request must be served without a
+# recompute.
 wait_port_file() {
     local file=$1 pid=$2 what=$3
     for _ in $(seq 1 100); do
@@ -236,18 +237,31 @@ wait_port_file() {
     echo "error: $what never wrote its port file" >&2
     exit 1
 }
-target/release/ktiler_serve --addr 127.0.0.1:0 --cache-dir "$MN_DIR/cache0" \
+# Both ports are fixed before either node starts, so each can name the
+# other as a peer; a refused connect means nothing listens there.
+free_port() {
+    local p
+    for p in $(seq "$1" $(($1 + 500))); do
+        (exec 3<>"/dev/tcp/127.0.0.1/$p") 2>/dev/null || { echo "$p"; return 0; }
+    done
+}
+PORT0=$(free_port $((20000 + $$ % 20000)))
+PORT1=$(free_port $((PORT0 + 1)))
+[[ -n "$PORT0" && -n "$PORT1" ]] || { echo "error: no free loopback ports" >&2; exit 1; }
+ADDR0=127.0.0.1:$PORT0
+ADDR1=127.0.0.1:$PORT1
+target/release/ktiler_serve --addr "$ADDR0" --cache-dir "$MN_DIR/cache0" \
+    --peer "$ADDR1" --sync-interval-ms 200 \
     --port-file "$MN_DIR/port0" >"$MN_DIR/node0.log" 2>&1 &
 NODE0_PID=$!
-wait_port_file "$MN_DIR/port0" "$NODE0_PID" "node 0"
-ADDR0=$(cat "$MN_DIR/port0")
-target/release/ktiler_serve --addr 127.0.0.1:0 --cache-dir "$MN_DIR/cache1" \
-    --peer "$ADDR0" --port-file "$MN_DIR/port1" >"$MN_DIR/node1.log" 2>&1 &
+target/release/ktiler_serve --addr "$ADDR1" --cache-dir "$MN_DIR/cache1" \
+    --peer "$ADDR0" --sync-interval-ms 200 \
+    --port-file "$MN_DIR/port1" >"$MN_DIR/node1.log" 2>&1 &
 NODE1_PID=$!
+wait_port_file "$MN_DIR/port0" "$NODE0_PID" "node 0"
 wait_port_file "$MN_DIR/port1" "$NODE1_PID" "node 1"
-ADDR1=$(cat "$MN_DIR/port1")
 target/release/ktiler_gateway --node "$ADDR0" --node "$ADDR1" \
-    --addr 127.0.0.1:0 --hot-threshold 1 --dead-cooldown-ms 200 \
+    --addr 127.0.0.1:0 \
     --port-file "$MN_DIR/gwport" >"$MN_DIR/gateway.log" 2>&1 &
 GW_PID=$!
 wait_port_file "$MN_DIR/gwport" "$GW_PID" "gateway"
@@ -260,6 +274,17 @@ GW_SCHED=(schedule --addr "$GW_ADDR" --size 64 --iters 3 --levels 2)
     || { echo "error: second request through the gateway should be a HIT" >&2; exit 1; }
 cmp -s "$MN_DIR/first.sched" "$MN_DIR/second.sched" \
     || { echo "error: gateway hit is not byte-identical to the miss" >&2; exit 1; }
+
+# Wait for anti-entropy to copy the artifact to the co-owner.
+digest_keys() { "${CLIENT[@]}" digest --addr "$1" | tail -n +2 | sort; }
+for _ in $(seq 1 100); do
+    KEYS0=$(digest_keys "$ADDR0")
+    KEYS1=$(digest_keys "$ADDR1")
+    [[ -n "$KEYS0" && "$KEYS0" == "$KEYS1" ]] && break
+    sleep 0.1
+done
+[[ -n "$KEYS0" && "$KEYS0" == "$KEYS1" ]] \
+    || { echo "error: the nodes never reached DIGEST parity" >&2; exit 1; }
 
 # The owning node is the one the gateway forwarded both requests to
 # (per-node counters in the gateway's stats document).
@@ -281,7 +306,7 @@ else
     exit 1
 fi
 
-# The owner is dead; the replica must serve the replicated artifact as a
+# The owner is dead; the co-owner must serve the synced artifact as a
 # plain hit, byte-identical, with no client-visible error.
 "${CLIENT[@]}" "${GW_SCHED[@]}" --out "$MN_DIR/failover.sched" | grep '^HIT ' >/dev/null \
     || { echo "error: post-kill request should fail over to a replica HIT" >&2; exit 1; }
@@ -417,7 +442,9 @@ fi
     || { echo "error: the healed node should serve a local HIT" >&2; exit 1; }
 cmp -s "$CR_DIR/warm.sched" "$CR_DIR/healed.sched" \
     || { echo "error: healed response is not byte-identical to the warm one" >&2; exit 1; }
-"${CLIENT[@]}" stats --addr "$CR_ADDR_B" | grep -qF '"tmp_recovered": 1' \
+# grep without -q reads to the end, so the client never hits a closed
+# pipe (pipefail would turn its EPIPE into a failure).
+"${CLIENT[@]}" stats --addr "$CR_ADDR_B" | grep -F '"tmp_recovered": 1' >/dev/null \
     || { echo "error: tmp_recovered counter missing after the restart" >&2; exit 1; }
 
 for pid_var in CR_B_PID CR_A_PID; do
