@@ -25,7 +25,12 @@
 //! Kernels that support none of the three are recorded the classical way.
 //! The block dependency pass ingests replicated traces structurally
 //! ([`trace::StructuralDepBuilder`]): each distinct trace `Arc` is indexed
-//! once and its dependency template is reused for every node sharing it.
+//! once and its dependency templates are reused for every node sharing it
+//! — RAW edges to the last writers, WAW edges to the overwritten writers,
+//! and WAR edges to the readers an overwrite must wait for. WAR hazards
+//! are found by an address-ordered sweep of write runs against read runs
+//! and cached per (writer trace, buffer, reader stack), so the Jacobi
+//! iterations of a level neither re-derive nor re-emit them.
 //!
 //! [`analyze`] still *executes* every kernel functionally even when its
 //! trace was derived (downstream kernels may read its output values).

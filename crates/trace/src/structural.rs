@@ -19,7 +19,26 @@
 //!   cached by `(consumer trace, buffer, layer traces)` identity, so the 30
 //!   structurally identical Jacobi iterations of a pyramid level resolve
 //!   their dependencies once and replay the template 29 times with node
-//!   ids substituted.
+//!   ids substituted;
+//! * write-after-read hazards are resolved against a second stack per
+//!   buffer, of *reader layers* (node, surviving read runs, and the traces
+//!   that wrote the buffer since the layer was pushed — their coverage is
+//!   the layer's *dead* set, the words whose reader entries an earlier
+//!   write already consumed). A node's first-writer runs meet each layer's
+//!   read runs in one address-ordered interval sweep: both run lists are
+//!   sorted by start, read runs join an active list when they start before
+//!   the current write run ends and leave it for good once they end at or
+//!   before its start, so only real overlaps are ever tested against
+//!   `dead`. Halo runs of neighbouring blocks and a transfer's whole-buffer
+//!   run are just long-lived members of the active list;
+//! * that WAR resolution is cached like RAW and WAW, keyed by the writer
+//!   trace, the buffer, and per reader layer its trace plus the traces
+//!   that wrote the buffer since it was pushed (which fix `dead` exactly).
+//!   A template holds each `(writer block, reader layer, reader block)`
+//!   triple once, so a Jacobi node replays its WAR edges without
+//!   re-deriving or re-emitting duplicates. The template also records
+//!   which reader layers the write leaves with no live read: those layers
+//!   are dropped from the stack, since they can never yield another edge.
 //!
 //! Equivalence with the word-level builder is exact, not approximate: for
 //! every read word, "first layer from the top whose resolved runs cover it"
@@ -74,6 +93,13 @@ impl IntervalSet {
             self.map.remove(&is);
         }
         self.map.insert(s, e);
+    }
+
+    /// Whether the non-empty `[s, e)` lies entirely inside the set.
+    fn covers(&self, s: u64, e: u64) -> bool {
+        debug_assert!(s < e);
+        // Intervals are merged, so a covered span sits inside one of them.
+        self.map.range(..=s).next_back().is_some_and(|(_, &ie)| ie >= e)
     }
 
     /// Appends the parts of `[s, e)` *not* covered by the set to `out`.
@@ -134,6 +160,8 @@ struct TraceIndex {
     /// reads not followed by a same-node write of the word (by the reading
     /// block itself or any later block). These are the word builder's
     /// reader-list survivors, the targets of later nodes' WAR hazards.
+    /// Sorted by start address for the WAR sweep; runs of different
+    /// blocks may overlap.
     surviving_reads: Vec<(u32, Vec<BlockRun>)>,
     /// Per written region: the resolved write structure.
     writes: Vec<(u32, ResolvedWrites)>,
@@ -157,15 +185,34 @@ struct ReadLayer {
     index_idx: usize,
     /// Position in the index's `surviving_reads` for this region.
     reads_pos: usize,
-    /// Words written by later nodes: their reader entries were consumed by
-    /// that write's WAR resolution, exactly like the word builder clearing
-    /// a word's reader list at each write.
-    dead: IntervalSet,
+    /// `(index, writes position)` of every node that wrote the region since
+    /// the layer was pushed, in visit order. The union of their coverage is
+    /// the layer's *dead* set: those words' reader entries were consumed by
+    /// the write's WAR resolution, exactly like the word builder clearing a
+    /// word's reader list at each write.
+    writers: Vec<(usize, usize)>,
 }
 
-/// Edge template entry: consumer block, layer position from the top of the
-/// stack, producer block.
+/// Edge template entry: consumer block, layer position (from the top of
+/// the writer stack; from the bottom of the reader stack for WAR),
+/// producer block.
 type TemplateEntry = (u32, u32, u32);
+
+/// Template cache key: the resolving trace (its `Arc` address for RAW and
+/// WAW, its index for WAR), the region, and a signature of the stack it
+/// is resolved against.
+type TemplateKey = (usize, u32, Vec<usize>);
+
+/// A cached WAR resolution of one write against one reader stack.
+#[derive(Debug)]
+struct WarTemplate {
+    /// `(writer block, reader layer position from the bottom of the stack,
+    /// reader block)`, sorted and deduplicated.
+    entries: Vec<TemplateEntry>,
+    /// Per reader layer, bottom up: whether the write leaves it with no
+    /// live read, so it can be dropped.
+    exhausted: Vec<bool>,
+}
 
 /// Builds a [`BlockDepGraph`] from node-granularity trace visits using run
 /// intersection and structural template reuse (see the module docs).
@@ -182,11 +229,15 @@ pub struct StructuralDepBuilder {
     index_of: HashMap<usize, usize>,
     stacks: HashMap<u32, Vec<Layer>>,
     read_stacks: HashMap<u32, Vec<ReadLayer>>,
-    templates: HashMap<(usize, u32, Vec<usize>), Vec<TemplateEntry>>,
+    templates: HashMap<TemplateKey, Vec<TemplateEntry>>,
     /// WAW templates: first-writer runs resolved against the writer stack.
     /// Same key shape as `templates` but a distinct cache — the same
     /// (trace, region, stack) can need both a read and a write resolution.
-    waw_templates: HashMap<(usize, u32, Vec<usize>), Vec<TemplateEntry>>,
+    waw_templates: HashMap<TemplateKey, Vec<TemplateEntry>>,
+    /// WAR templates, keyed by writer index, region and the reader stack
+    /// flattened bottom up as `[reader index, writer count, writer
+    /// indexes...]` per layer.
+    war_templates: HashMap<TemplateKey, WarTemplate>,
     edges: Vec<(BlockRef, BlockRef)>,
     num_blocks: Vec<u32>,
 }
@@ -283,38 +334,28 @@ impl StructuralDepBuilder {
             // WAR: the first writer of each word also depends on every
             // surviving reader of that word since its last write. Reader
             // layers are consumed word-wise — overwritten spans become
-            // dead, like the word builder clearing reader lists.
-            if let Some(rstack) = self.read_stacks.get_mut(region) {
-                let mut scratch: Vec<(u64, u64)> = Vec::new();
+            // dead, like the word builder clearing reader lists — and a
+            // layer with no live read left is dropped.
+            if let Some(rstack) = self.read_stacks.get_mut(region).filter(|s| !s.is_empty()) {
+                let mut sig: Vec<usize> = Vec::new();
+                for layer in rstack.iter() {
+                    sig.push(layer.index_idx);
+                    sig.push(layer.writers.len());
+                    sig.extend(layer.writers.iter().map(|&(w, _)| w));
+                }
+                let template = self
+                    .war_templates
+                    .entry((index_idx, *region, sig))
+                    .or_insert_with(|| build_war_template(rw, rstack, &self.indexes));
+                for &(wblock, layer_pos, rblock) in &template.entries {
+                    let reader = rstack[layer_pos as usize].node;
+                    self.edges.push((BlockRef::new(node, wblock), BlockRef::new(reader, rblock)));
+                }
                 for layer in rstack.iter_mut() {
-                    let runs = &self.indexes[layer.index_idx].surviving_reads[layer.reads_pos].1;
-                    // `runs` is sorted by (block, start), not by address,
-                    // so overlaps are found by a full scan per write run.
-                    for &(wblock, ws, we) in &rw.first_runs {
-                        for &(rblock, rs, re) in runs {
-                            let (os, oe) = (ws.max(rs), we.min(re));
-                            if os >= oe {
-                                continue;
-                            }
-                            scratch.clear();
-                            layer.dead.subtract(os, oe, &mut scratch);
-                            if !scratch.is_empty() {
-                                self.edges.push((
-                                    BlockRef::new(node, wblock),
-                                    BlockRef::new(layer.node, rblock),
-                                ));
-                            }
-                        }
-                    }
+                    layer.writers.push((index_idx, pos));
                 }
-                for &(s, e) in &rw.coverage {
-                    for layer in rstack.iter_mut() {
-                        layer.dead.insert(s, e);
-                    }
-                }
-                if rw.full {
-                    rstack.clear();
-                }
+                let mut exhausted = template.exhausted.iter();
+                rstack.retain(|_| !exhausted.next().expect("one flag per reader layer"));
             }
 
             let stack = self.stacks.entry(*region).or_default();
@@ -335,7 +376,7 @@ impl StructuralDepBuilder {
                 node,
                 index_idx,
                 reads_pos: pos,
-                dead: IntervalSet::default(),
+                writers: Vec::new(),
             });
         }
 
@@ -443,7 +484,7 @@ fn build_index(traces: &[BlockTrace], regions: &[Region]) -> TraceIndex {
                 }
             }
             if !surv.is_empty() {
-                surv.sort_unstable();
+                surv.sort_unstable_by_key(|&(_, s, _)| s);
                 index.surviving_reads.push((region, surv));
             }
         }
@@ -521,6 +562,56 @@ fn build_template(creads: &[(u32, u64, u64)], layers: &[&ResolvedWrites]) -> Vec
     out.sort_unstable();
     out.dedup();
     out
+}
+
+/// Resolves one write's WAR hazards against a reader stack (see the
+/// module docs): per reader layer, an address-ordered sweep of the
+/// writer's first-writer runs against the layer's surviving read runs,
+/// testing each real overlap against the layer's dead set.
+fn build_war_template(
+    rw: &ResolvedWrites,
+    rstack: &[ReadLayer],
+    indexes: &[TraceIndex],
+) -> WarTemplate {
+    // First-writer runs are disjoint, so sorted by start they are sorted
+    // by end too.
+    let mut writes = rw.first_runs.clone();
+    writes.sort_unstable_by_key(|&(_, s, _)| s);
+    let mut entries: Vec<TemplateEntry> = Vec::new();
+    let mut exhausted: Vec<bool> = Vec::with_capacity(rstack.len());
+    let mut active: Vec<BlockRun> = Vec::new();
+    for (layer_pos, layer) in rstack.iter().enumerate() {
+        let reads = &indexes[layer.index_idx].surviving_reads[layer.reads_pos].1;
+        let mut dead = IntervalSet::default();
+        for &(w, wpos) in &layer.writers {
+            for &(s, e) in &indexes[w].writes[wpos].1.coverage {
+                dead.insert(s, e);
+            }
+        }
+        active.clear();
+        let mut next = 0usize;
+        for &(wblock, ws, we) in &writes {
+            while next < reads.len() && reads[next].1 < we {
+                active.push(reads[next]);
+                next += 1;
+            }
+            // Write runs only move up, so a read run ending at or before
+            // this one's start overlaps no later write run either.
+            active.retain(|&(_, _, re)| re > ws);
+            for &(rblock, rs, re) in &active {
+                if !dead.covers(ws.max(rs), we.min(re)) {
+                    entries.push((wblock, layer_pos as u32, rblock));
+                }
+            }
+        }
+        for &(s, e) in &rw.coverage {
+            dead.insert(s, e);
+        }
+        exhausted.push(reads.iter().all(|&(_, s, e)| dead.covers(s, e)));
+    }
+    entries.sort_unstable();
+    entries.dedup();
+    WarTemplate { entries, exhausted }
 }
 
 /// Appends `a minus cov` to `out`; both inputs are sorted disjoint runs.
@@ -863,6 +954,74 @@ mod tests {
         }
     }
 
+    /// Adversarial WAR sweep boundaries and template keys: up to 16 blocks
+    /// per node, contiguous read runs of random length whose halos overlap
+    /// across blocks, whole-buffer reads beside short runs, and fragmented
+    /// partial overwrites, so reader layers carry scattered dead spans. The
+    /// nodes are drawn from a small pool of arcs, so each arc is revisited
+    /// against many different reader stacks: a template key that misses
+    /// one writer of one layer replays a stale resolution, and an
+    /// off-by-one in the sweep's active-list bounds adds or drops an edge.
+    #[test]
+    fn adversarial_war_sweep_equivalence() {
+        use gpu_sim::SplitMix64;
+        for seed in 0..96u64 {
+            let mut rng = SplitMix64::new(seed ^ 0x5eed_3a7c_0ff1_ce00);
+            let mut mem = DeviceMemory::new();
+            let bufs: Vec<Buffer> = (0..rng.gen_range_u64(1, 3))
+                .map(|i| mem.alloc_f32(rng.gen_range_u64(48, 200), &format!("b{i}")))
+                .collect();
+            let pool: Vec<Arc<Vec<BlockTrace>>> = (0..rng.gen_range_u64(2, 6))
+                .map(|_| {
+                    let blocks = rng.gen_range_u64(1, 17);
+                    // Per buffer: how this arc reads it (0 = not at all,
+                    // 1 = halo tiles plus one whole-buffer block, else halo
+                    // tiles) and writes it (0 = not at all, 1 = tiles,
+                    // else a few scattered short spans per block).
+                    let modes: Vec<(u64, u64)> = bufs
+                        .iter()
+                        .map(|_| (rng.gen_range_u64(0, 4), rng.gen_range_u64(0, 3)))
+                        .collect();
+                    let whole = rng.gen_range_u64(0, blocks);
+                    let traces = (0..blocks)
+                        .map(|blk| {
+                            let mut reads: Vec<(Buffer, u64)> = Vec::new();
+                            let mut writes: Vec<(Buffer, u64)> = Vec::new();
+                            for (&b, &(rmode, wmode)) in bufs.iter().zip(&modes) {
+                                let n = b.len / 4;
+                                // This block's tile of the buffer; read
+                                // halos reach into the neighbours' tiles.
+                                let (lo, hi) = (blk * n / blocks, (blk + 1) * n / blocks);
+                                if rmode == 1 && blk == whole {
+                                    reads.extend((0..n).map(|i| (b, i)));
+                                } else if rmode != 0 {
+                                    let s = lo.saturating_sub(rng.gen_range_u64(0, 8));
+                                    let e = (hi + rng.gen_range_u64(0, 8)).min(n);
+                                    reads.extend((s..e).map(|i| (b, i)));
+                                }
+                                if wmode == 1 {
+                                    writes.extend((lo..hi).map(|i| (b, i)));
+                                } else if wmode != 0 {
+                                    for _ in 0..rng.gen_range_u64(0, 3) {
+                                        let s = rng.gen_range_u64(0, n);
+                                        let e = (s + rng.gen_range_u64(1, 6)).min(n);
+                                        writes.extend((s..e).map(|i| (b, i)));
+                                    }
+                                }
+                            }
+                            trace(&reads, &writes)
+                        })
+                        .collect();
+                    Arc::new(traces)
+                })
+                .collect();
+            let nodes: Vec<Arc<Vec<BlockTrace>>> = (0..rng.gen_range_u64(4, 17))
+                .map(|_| Arc::clone(&pool[rng.gen_range_u64(0, pool.len() as u64) as usize]))
+                .collect();
+            assert_equivalent(&mem, &nodes);
+        }
+    }
+
     #[test]
     fn interval_set_insert_and_subtract() {
         let mut s = IntervalSet::default();
@@ -877,6 +1036,9 @@ mod tests {
         out.clear();
         s.subtract(15, 35, &mut out);
         assert!(out.is_empty());
+        assert!(s.covers(10, 40));
+        assert!(!s.covers(9, 12));
+        assert!(!s.covers(39, 41));
     }
 
     #[test]

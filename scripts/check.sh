@@ -80,6 +80,13 @@ echo "== analyzer equivalence (paper-scale, release) =="
 # workload the acceptance bar names, for serial and multi-threaded builds.
 cargo test --release -p bench --test analyzer_equivalence "${OFFLINE[@]}" -- --ignored
 
+echo "== analyzer scaling gate (release) =="
+# The fast analyzer on optical flow at 256²×10×3 and 512²×10×3, min of 3
+# interleaved samples each: 4x the pixels must cost at most 6x the time
+# (linear reads ~4). A dependency pass that grows with blocks-per-node
+# squared reads ~10x here, which the 192² speedup gate below cannot see.
+cargo test --release -p bench --test analyzer_scaling "${OFFLINE[@]}" -- --ignored --nocapture
+
 echo "== fuzz corpus regression suite (release) =="
 # Every seed in crates/ktiler/tests/fuzz_corpus/ once exposed a real
 # scheduler bug (missing WAR/WAW hazard edges; atomic-node pessimism
@@ -103,7 +110,7 @@ echo "== bench_scheduler smoke test =="
 # the fast analyzer must match the full-trace reference while beating it
 # by at least 5x. 192²/10-iter is the smallest scale where structural
 # reuse dominates the fixed per-run costs enough for that margin to be
-# stable; the committed 512² results show ~25x.
+# stable; the committed 512² results show ~44x.
 SMOKE_JSON=$(mktemp /tmp/bench_scheduler_smoke.XXXXXX.json)
 ZOO_JSON=$(mktemp /tmp/bench_zoo_smoke.XXXXXX.json)
 SVC_DIR=$(mktemp -d /tmp/ktiler_svc_smoke.XXXXXX)
