@@ -8,8 +8,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod timing;
-
 use gpu_sim::{FreqConfig, GpuConfig};
 use hsoptflow::{build_app, synthetic_pair, HsParams, OptFlowApp};
 use kgraph::GraphTrace;

@@ -32,22 +32,29 @@
 //! and cached per (writer trace, buffer, reader stack), so the Jacobi
 //! iterations of a level neither re-derive nor re-emit them.
 //!
-//! [`analyze`] still *executes* every kernel functionally even when its
-//! trace was derived (downstream kernels may read its output values).
-//! [`analyze_fast`] also skips functional execution of every kernel whose
-//! values no recorded kernel transitively reads, determined by a static
-//! plan over the graph; it returns identical traces and dependencies but
-//! leaves device memory only partially computed. [`analyze_reference_with`]
-//! preserves the original record-and-hash pipeline as the oracle the fast
-//! paths are tested against.
+//! Three entry points share one result type, [`GraphTrace`]:
+//!
+//! * [`analyze_fast`] — production. It also skips functional execution of
+//!   every kernel whose values no recorded kernel transitively reads,
+//!   determined by a static plan over the graph, so device memory is only
+//!   partially computed afterwards.
+//! * [`analyze`] — the same analysis, but it still *executes* every kernel
+//!   functionally even when its trace was derived, for callers that read
+//!   the application's output values afterwards.
+//! * [`analyze_reference`] — the oracle the other two are tested against:
+//!   it records every kernel (sharing only exact signature repeats) and
+//!   builds the dependency graph word by word with
+//!   [`trace::DepGraphBuilder`].
+//!
+//! The three return identical traces, order and dependency graph.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use gpu_sim::{BlockWork, Buffer, DeviceMemory, LaunchDims};
 use trace::{
-    build_dep_graph, coalesce_blocks, rebase_traces, synthesize_affine, BlockDepGraph, BlockRef,
-    BlockTrace, ExecCtx, OffsetMap, RawBlockTrace, StructuralDepBuilder, TraceRecorder,
+    coalesce_blocks, rebase_traces, synthesize_affine, BlockDepGraph, BlockRef, BlockTrace,
+    DepGraphBuilder, ExecCtx, OffsetMap, RawBlockTrace, StructuralDepBuilder, TraceRecorder,
 };
 
 use crate::dag::{topo_order, CycleError};
@@ -135,7 +142,10 @@ enum ValuePolicy {
 /// `line_bytes` must match the cache-line size of the device the schedule
 /// will later run on (footprints are counted in lines).
 ///
-/// Equivalent to [`analyze_with`] at the machine's available parallelism.
+/// Kernel execution, trace derivation (rebase/synthesis) and the
+/// structural dependency pass are serial; only per-block coalescing of the
+/// kernels that do get recorded fans out over the machine's cores, with a
+/// result independent of the worker count.
 ///
 /// # Errors
 ///
@@ -145,27 +155,7 @@ pub fn analyze(
     mem: &mut DeviceMemory,
     line_bytes: u64,
 ) -> Result<GraphTrace, CycleError> {
-    analyze_with(g, mem, line_bytes, default_threads())
-}
-
-/// [`analyze`] with an explicit worker count for the host-side passes.
-///
-/// Kernel execution itself stays serial (later nodes read earlier nodes'
-/// output values), and trace derivation (rebase/synthesis) and the
-/// structural dependency pass are serial by construction; `threads` only
-/// fans out per-block coalescing of the kernels that do get recorded. The
-/// result is identical for every `threads` value, including 1.
-///
-/// # Errors
-///
-/// Returns [`CycleError`] if the graph is not a DAG.
-pub fn analyze_with(
-    g: &AppGraph,
-    mem: &mut DeviceMemory,
-    line_bytes: u64,
-    threads: usize,
-) -> Result<GraphTrace, CycleError> {
-    analyze_impl(g, mem, line_bytes, threads, ValuePolicy::Always)
+    analyze_impl(g, mem, line_bytes, ValuePolicy::Always)
 }
 
 /// [`analyze`], additionally skipping functional execution of every kernel
@@ -192,21 +182,7 @@ pub fn analyze_fast(
     mem: &mut DeviceMemory,
     line_bytes: u64,
 ) -> Result<GraphTrace, CycleError> {
-    analyze_fast_with(g, mem, line_bytes, default_threads())
-}
-
-/// [`analyze_fast`] with an explicit worker count for the host-side passes.
-///
-/// # Errors
-///
-/// Returns [`CycleError`] if the graph is not a DAG.
-pub fn analyze_fast_with(
-    g: &AppGraph,
-    mem: &mut DeviceMemory,
-    line_bytes: u64,
-    threads: usize,
-) -> Result<GraphTrace, CycleError> {
-    analyze_impl(g, mem, line_bytes, threads, ValuePolicy::WhereNeeded)
+    analyze_impl(g, mem, line_bytes, ValuePolicy::WhereNeeded)
 }
 
 fn default_threads() -> usize {
@@ -284,7 +260,6 @@ fn analyze_impl(
     g: &AppGraph,
     mem: &mut DeviceMemory,
     line_bytes: u64,
-    threads: usize,
     policy: ValuePolicy,
 ) -> Result<GraphTrace, CycleError> {
     let order = topo_order(g)?;
@@ -366,7 +341,7 @@ fn analyze_impl(
                                     k.execute_block(block, &mut ctx);
                                     raw.push(rec.finish_block_raw());
                                 }
-                                Arc::new(coalesce_blocks(raw, threads))
+                                Arc::new(coalesce_blocks(raw, default_threads()))
                             }
                         };
                         if let Some(s) = sig {
@@ -411,24 +386,24 @@ fn analyze_impl(
 }
 
 /// The original analyzer pipeline: record every kernel (sharing only exact
-/// signature repeats) and build the dependency graph with the sharded
-/// last-writer pass. Kept as the measurement baseline and the oracle the
-/// structural/affine fast paths are verified against — its results must be
-/// byte-identical to [`analyze_with`]'s at any thread count.
+/// signature repeats) and build the dependency graph word by word, feeding
+/// each block to [`DepGraphBuilder`] in program order. Kept as the oracle
+/// the structural/affine fast paths are verified against — its results
+/// must be byte-identical to [`analyze`]'s and [`analyze_fast`]'s.
 ///
 /// # Errors
 ///
 /// Returns [`CycleError`] if the graph is not a DAG.
-pub fn analyze_reference_with(
+pub fn analyze_reference(
     g: &AppGraph,
     mem: &mut DeviceMemory,
     line_bytes: u64,
-    threads: usize,
 ) -> Result<GraphTrace, CycleError> {
     let order = topo_order(g)?;
     let mut rec = TraceRecorder::new(line_bytes);
     let mut cache: HashMap<String, Arc<Vec<BlockTrace>>> = HashMap::new();
     let mut nodes: Vec<Option<NodeTrace>> = (0..g.num_nodes()).map(|_| None).collect();
+    let mut builder = DepGraphBuilder::new();
 
     for &id in &order {
         let node = g.node(id);
@@ -449,7 +424,7 @@ pub fn analyze_reference_with(
                         k.execute_block(block, &mut ctx);
                         raw.push(rec.finish_block_raw());
                     }
-                    let shared = Arc::new(coalesce_blocks(raw, threads));
+                    let shared = Arc::new(coalesce_blocks(raw, default_threads()));
                     if let Some(s) = sig {
                         cache.insert(s, Arc::clone(&shared));
                     }
@@ -462,22 +437,15 @@ pub fn analyze_reference_with(
             }
             NodeOp::DeviceToHost { buf } => Arc::new(vec![transfer_trace(*buf, false, line_bytes)]),
         };
+        for (b, t) in traces.iter().enumerate() {
+            builder.visit_block(BlockRef::new(id.0, b as u32), t);
+        }
         nodes[id.0 as usize] = Some(NodeTrace { blocks: traces });
     }
 
-    let visits: Vec<(BlockRef, &BlockTrace)> = order
-        .iter()
-        .flat_map(|&id| {
-            let nt = nodes[id.0 as usize].as_ref().expect("topo order covers all nodes");
-            nt.blocks.iter().enumerate().map(move |(b, t)| (BlockRef::new(id.0, b as u32), t))
-        })
-        .collect();
-    let deps = build_dep_graph(&visits, threads);
-    drop(visits);
-
     Ok(GraphTrace {
         nodes: nodes.into_iter().map(|n| n.expect("topo order covers all nodes")).collect(),
-        deps,
+        deps: builder.finish(),
         order,
     })
 }
@@ -585,21 +553,6 @@ mod tests {
     }
 
     #[test]
-    fn analyze_with_is_thread_invariant() {
-        let (g, mut mem, _, _) = pipeline(false);
-        let serial = analyze_with(&g, &mut mem, 128, 1).unwrap();
-        for threads in [2usize, 4] {
-            let (g2, mut mem2, _, _) = pipeline(false);
-            let parallel = analyze_with(&g2, &mut mem2, 128, threads).unwrap();
-            assert_eq!(parallel.deps, serial.deps, "threads {threads}");
-            assert_eq!(parallel.order, serial.order, "threads {threads}");
-            for (a, b) in serial.nodes.iter().zip(&parallel.nodes) {
-                assert_eq!(*a.blocks, *b.blocks, "threads {threads}");
-            }
-        }
-    }
-
-    #[test]
     fn transfer_traces_cover_whole_buffer() {
         let mut mem = DeviceMemory::new();
         let b = mem.alloc_f32(64, "b"); // 256 bytes = 2 lines of 128
@@ -691,7 +644,7 @@ mod tests {
         let (g, mut mem, ids, _, [a, _b]) = pingpong();
         let gt = analyze(&g, &mut mem, 128).unwrap();
         let (g2, mut mem2, _, _, _) = pingpong();
-        let reference = analyze_reference_with(&g2, &mut mem2, 128, 1).unwrap();
+        let reference = analyze_reference(&g2, &mut mem2, 128).unwrap();
         assert_eq!(gt.order, reference.order);
         assert_eq!(gt.deps, reference.deps);
         for (x, y) in gt.nodes.iter().zip(&reference.nodes) {
@@ -774,7 +727,7 @@ mod tests {
         let (g, mut mem, dst) = build();
         let gt = analyze(&g, &mut mem, 128).unwrap();
         let (g2, mut mem2, _) = build();
-        let reference = analyze_reference_with(&g2, &mut mem2, 128, 1).unwrap();
+        let reference = analyze_reference(&g2, &mut mem2, 128).unwrap();
         assert_eq!(gt.deps, reference.deps);
         for (x, y) in gt.nodes.iter().zip(&reference.nodes) {
             assert_eq!(*x.blocks, *y.blocks);
@@ -787,7 +740,7 @@ mod tests {
     #[test]
     fn analyze_fast_skips_unneeded_execution() {
         let (g, mut mem, _, counters, _) = pingpong();
-        let fast = analyze_fast_with(&g, &mut mem, 128, 1).unwrap();
+        let fast = analyze_fast(&g, &mut mem, 128).unwrap();
         // Only the class prototype recorded ⇒ only it needed fresh values
         // (its sole ancestor is the HtD upload). The three derived
         // instances never ran.

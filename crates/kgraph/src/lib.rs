@@ -22,10 +22,7 @@ mod dot;
 mod graph;
 mod kernel;
 
-pub use analyze::{
-    analyze, analyze_fast, analyze_fast_with, analyze_reference_with, analyze_with, GraphTrace,
-    NodeTrace,
-};
+pub use analyze::{analyze, analyze_fast, analyze_reference, GraphTrace, NodeTrace};
 pub use builder::GraphBuilder;
 pub use check::{check_edges, EdgeCheck};
 pub use dag::{is_connected_subgraph, reachable, topo_order, CycleError};

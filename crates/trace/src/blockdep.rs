@@ -17,10 +17,26 @@
 //! between blocks of *different* kernels; blocks within one kernel are
 //! independent by the GPU execution model.
 //!
-//! The builder replays the application's default (topological) execution
-//! order, maintaining a last-writer map (and a readers-since-last-write
-//! map) at 4-byte-word granularity — the same host-side pass the paper
-//! performs over the recorded SASSI trace.
+//! [`DepGraphBuilder`] is the word-level oracle: it replays the
+//! application's default (topological) execution order, keeping for every
+//! 4-byte word its last writer and the readers since that write — the same
+//! host-side pass the paper performs over the recorded SASSI trace. The
+//! production analyzer uses [`StructuralDepBuilder`](crate::StructuralDepBuilder),
+//! which works on address runs instead of words, and is tested against it.
+//!
+//! # The flat oracle
+//!
+//! Each visited block is numbered in visit order. [`WordMap`] gives each
+//! word a dense slot; slot `s` holds the visit number of the word's last
+//! writer and the head of a linked list of reader visits in a shared cell
+//! pool. The invariant after every visit: a slot's list holds exactly the
+//! visits that read the word since its last write, most recent first. A
+//! read resolves RAW against the writer and pushes itself onto the list; a
+//! write resolves WAW against the writer and WAR against every listed
+//! reader, then empties the list (its cells go back to the pool) and
+//! becomes the writer. Edges are deduplicated per visit by stamping each
+//! producer block with the number of the last visit that recorded an edge
+//! to it, so a visit records each of its edges once.
 //!
 //! # Representation
 //!
@@ -31,8 +47,6 @@
 //! direction stored the same way). Dependency queries — the inner loop of
 //! Algorithm 2's `transitive_deps` walks — are two array lookups with no
 //! hashing, and the whole graph lives in six flat allocations.
-
-use std::collections::HashMap;
 
 use crate::record::BlockTrace;
 use crate::wordmap::WordMap;
@@ -53,17 +67,54 @@ impl BlockRef {
     }
 }
 
+/// "No entry": an unwritten word, an empty reader list, a block not yet
+/// given an edge.
+const NONE: u32 = u32::MAX;
+
+/// The state of one word slot: the visit that last wrote the word, and
+/// the head of the list of visits that read it since.
+#[derive(Debug, Clone, Copy)]
+struct WordState {
+    writer: u32,
+    readers: u32,
+}
+
+/// One cell of a reader list: a reading visit and the next cell.
+#[derive(Debug, Clone, Copy)]
+struct ReaderCell {
+    visit: u32,
+    next: u32,
+}
+
+/// A visited block, and the last visit that recorded an edge to it.
+#[derive(Debug, Clone, Copy)]
+struct Visit {
+    block: BlockRef,
+    edged_by: u32,
+}
+
 /// Incrementally builds a [`BlockDepGraph`] by visiting blocks in the
-/// application's default execution order.
+/// application's default execution order: the word-level oracle.
 ///
-/// Edges are accumulated as a flat `(consumer, producer)` list; [`finish`]
-/// sorts it once and lays out the CSR arrays.
+/// Every [`visit_block`](Self::visit_block) call is a *visit*, numbered
+/// from 0. Per-word state lives in flat tables: [`WordMap`] gives each
+/// word a dense slot, and the slot holds its last writer's visit number
+/// and the head of its readers-since-that-write list. The lists share one
+/// pool of cells; a write walks its word's list, emitting a WAR edge per
+/// reader, and hands the cells back to the pool. Each visit records an
+/// edge to a producer block at most once (the producer's `edged_by` stamp
+/// is the visit number), so the edge list holds no duplicates and
+/// [`finish`] sorts it once into CSR form.
 ///
 /// [`finish`]: DepGraphBuilder::finish
 #[derive(Debug, Default)]
 pub struct DepGraphBuilder {
-    last_writer: WordMap,
-    readers: HashMap<u64, Vec<BlockRef>>,
+    slots: WordMap,
+    words: Vec<WordState>,
+    cells: Vec<ReaderCell>,
+    /// Head of the list of free cells.
+    free: Option<u32>,
+    visits: Vec<Visit>,
     edges: Vec<(BlockRef, BlockRef)>,
     num_blocks: Vec<u32>,
 }
@@ -75,44 +126,57 @@ impl DepGraphBuilder {
     }
 
     /// Registers the reads and writes of `block`, which is being visited in
-    /// program order. Reads are resolved against the last-writer map before
-    /// the block's own writes are installed (a block that reads and writes
-    /// the same word sees the previous producer); each write resolves its
+    /// program order. Reads are resolved against the last writer before the
+    /// block's own writes are installed (a block that reads and writes the
+    /// same word sees the previous producer); each write resolves its
     /// WAW/WAR hazards against the pre-write state, then clears the word's
     /// reader list and becomes its last writer.
+    ///
+    /// # Panics
+    ///
+    /// Panics after `u32::MAX - 1` visits.
     pub fn visit_block(&mut self, r: BlockRef, t: &BlockTrace) {
-        let before = self.edges.len();
+        assert!(self.visits.len() < NONE as usize, "visit count exceeds u32");
+        let me = self.visits.len() as u32;
+        self.visits.push(Visit { block: r, edged_by: NONE });
         for &word in &t.read_words {
-            if let Some(producer) = self.last_writer.get(word) {
-                if producer.node != r.node {
-                    self.edges.push((r, producer));
+            let s = self.slot(word);
+            let WordState { writer, readers } = self.words[s];
+            self.depend(me, writer);
+            let cell = ReaderCell { visit: me, next: readers };
+            self.words[s].readers = match self.free {
+                Some(c) => {
+                    let next = self.cells[c as usize].next;
+                    self.free = (next != NONE).then_some(next);
+                    self.cells[c as usize] = cell;
+                    c
                 }
-            }
-            self.readers.entry(word).or_default().push(r);
+                None => {
+                    self.cells.push(cell);
+                    (self.cells.len() - 1) as u32
+                }
+            };
         }
-        // Light per-visit dedup keeps the edge list near its final size;
-        // finish() dedups globally. Only the freshly pushed tail is sorted
-        // and compacted — rescanning the full accumulated list here would
-        // make graph construction quadratic in the edge count.
-        dedup_tail(&mut self.edges, before);
-        let before = self.edges.len();
         for &word in &t.write_words {
-            if let Some(prev) = self.last_writer.get(word) {
-                if prev.node != r.node {
-                    self.edges.push((r, prev));
-                }
-            }
-            if let Some(rs) = self.readers.get_mut(&word) {
-                for &rd in rs.iter() {
-                    if rd.node != r.node {
-                        self.edges.push((r, rd));
+            let s = self.slot(word);
+            let WordState { writer, readers } = self.words[s];
+            self.depend(me, writer);
+            if readers != NONE {
+                let mut c = readers;
+                loop {
+                    let cell = self.cells[c as usize];
+                    self.depend(me, cell.visit);
+                    if cell.next == NONE {
+                        break;
                     }
+                    c = cell.next;
                 }
-                rs.clear();
+                // The walked list goes back to the pool in one splice.
+                self.cells[c as usize].next = self.free.unwrap_or(NONE);
+                self.free = Some(readers);
             }
-            self.last_writer.insert(word, r);
+            self.words[s] = WordState { writer: me, readers: NONE };
         }
-        dedup_tail(&mut self.edges, before);
         if r.node as usize >= self.num_blocks.len() {
             self.num_blocks.resize(r.node as usize + 1, 0);
         }
@@ -120,41 +184,45 @@ impl DepGraphBuilder {
         *n = (*n).max(r.block + 1);
     }
 
+    /// The state index of `word`, allocating empty state for a new word.
+    #[inline]
+    fn slot(&mut self, word: u64) -> usize {
+        let s = self.slots.slot(word) as usize;
+        if s == self.words.len() {
+            self.words.push(WordState { writer: NONE, readers: NONE });
+        }
+        s
+    }
+
+    /// Records that visit `me` depends on visit `producer` (if any): one
+    /// edge per producer block and visit, none within a node.
+    #[inline]
+    fn depend(&mut self, me: u32, producer: u32) {
+        if producer == NONE {
+            return;
+        }
+        let consumer = self.visits[me as usize].block;
+        let p = &mut self.visits[producer as usize];
+        if p.edged_by != me {
+            p.edged_by = me;
+            if p.block.node != consumer.node {
+                self.edges.push((consumer, p.block));
+            }
+        }
+    }
+
     /// Finishes construction: one global sort of the edge list, then the
     /// forward and reverse CSR layouts.
     pub fn finish(self) -> BlockDepGraph {
-        let DepGraphBuilder { edges, num_blocks, .. } = self;
-        csr_from_edges(edges, num_blocks)
+        csr_from_edges(self.edges, self.num_blocks)
     }
-}
-
-/// Sorts and compacts the freshly pushed `edges[start..]` tail in place.
-///
-/// `visit_block` pushes one candidate edge per resolved read, so a block
-/// that reads a producer's words many times floods the tail with
-/// duplicates; this keeps the accumulated list near its final size without
-/// rescanning the (already tail-deduped) prefix.
-fn dedup_tail(edges: &mut Vec<(BlockRef, BlockRef)>, start: usize) {
-    let tail = &mut edges[start..];
-    if tail.len() < 2 {
-        return;
-    }
-    tail.sort_unstable();
-    let mut write = 1usize;
-    for read in 1..tail.len() {
-        if tail[read] != tail[write - 1] {
-            tail[write] = tail[read];
-            write += 1;
-        }
-    }
-    edges.truncate(start + write);
 }
 
 /// Lays out the forward and reverse CSR arrays from a raw edge list.
 ///
 /// The edge list may contain duplicates and be in any order; one global
-/// sort + dedup canonicalizes it, which is what makes the sharded parallel
-/// builder's output byte-identical to the serial builder's.
+/// sort + dedup canonicalizes it, so builders that push the same edge set
+/// in different orders produce byte-identical graphs.
 pub(crate) fn csr_from_edges(
     mut edges: Vec<(BlockRef, BlockRef)>,
     num_blocks: Vec<u32>,
@@ -194,118 +262,6 @@ pub(crate) fn csr_from_edges(
     let rdeps_edges: Vec<BlockRef> = redges.iter().map(|&(_, c)| c).collect();
 
     BlockDepGraph { num_blocks, node_base, deps_off, deps_edges, rdeps_off, rdeps_edges }
-}
-
-/// Number of word-address shards of the parallel dependency builder.
-///
-/// The shard of a word is `word % DEP_SHARDS`; shard `s` is always handled
-/// by worker `s % threads`, so the worker→shard assignment (and therefore
-/// the output) does not depend on scheduling.
-pub const DEP_SHARDS: usize = 16;
-
-/// Builds a [`BlockDepGraph`] from a complete visit order by sharding the
-/// last-writer resolution across `threads` workers.
-///
-/// Each worker owns the word addresses with `word % DEP_SHARDS` in its
-/// shard set and replays the *full* visit order over only those words,
-/// maintaining a private [`WordMap`] and emitting a local edge list.
-/// Because a word's entire read/write history is seen by exactly one
-/// worker, in order, each local list is exactly the subset of the serial
-/// builder's edges contributed by that worker's words; concatenating the
-/// lists and canonicalizing through [`csr_from_edges`]'s global sort +
-/// dedup therefore yields a graph byte-identical to the serial
-/// [`DepGraphBuilder`]'s (asserted by a property test).
-///
-/// `visits` is the program-order sequence of `(block, trace)` pairs —
-/// the same sequence that would be fed to
-/// [`visit_block`](DepGraphBuilder::visit_block).
-pub fn build_dep_graph(visits: &[(BlockRef, &BlockTrace)], threads: usize) -> BlockDepGraph {
-    let threads = threads.clamp(1, DEP_SHARDS);
-
-    // Grid sizes are scheduling-independent; compute them serially.
-    let mut num_blocks: Vec<u32> = Vec::new();
-    for &(r, _) in visits {
-        if r.node as usize >= num_blocks.len() {
-            num_blocks.resize(r.node as usize + 1, 0);
-        }
-        let n = &mut num_blocks[r.node as usize];
-        *n = (*n).max(r.block + 1);
-    }
-
-    let worker = |id: usize| -> Vec<(BlockRef, BlockRef)> {
-        let mut last_writer = WordMap::new();
-        let mut readers: HashMap<u64, Vec<BlockRef>> = HashMap::new();
-        let mut edges: Vec<(BlockRef, BlockRef)> = Vec::new();
-        let owns = |word: u64| (word as usize % DEP_SHARDS) % threads == id;
-        // Prepass: the visit index of each owned word's final write. Reader
-        // lists exist to resolve WAR hazards at the *next* write, so words
-        // never written again (input planes read by every iteration) need
-        // no reader tracking — without this the lists grow with the total
-        // read count of the workload instead of its reuse distance.
-        let mut final_write: HashMap<u64, u32> = HashMap::new();
-        for (i, &(_, t)) in visits.iter().enumerate() {
-            for &word in &t.write_words {
-                if owns(word) {
-                    final_write.insert(word, i as u32);
-                }
-            }
-        }
-        for (i, &(r, t)) in visits.iter().enumerate() {
-            let before = edges.len();
-            for &word in &t.read_words {
-                if !owns(word) {
-                    continue;
-                }
-                if let Some(producer) = last_writer.get(word) {
-                    if producer.node != r.node {
-                        edges.push((r, producer));
-                    }
-                }
-                if final_write.get(&word).is_some_and(|&w| w > i as u32) {
-                    readers.entry(word).or_default().push(r);
-                }
-            }
-            dedup_tail(&mut edges, before);
-            let before = edges.len();
-            for &word in &t.write_words {
-                if !owns(word) {
-                    continue;
-                }
-                if let Some(prev) = last_writer.get(word) {
-                    if prev.node != r.node {
-                        edges.push((r, prev));
-                    }
-                }
-                if let Some(rs) = readers.get_mut(&word) {
-                    for &rd in rs.iter() {
-                        if rd.node != r.node {
-                            edges.push((r, rd));
-                        }
-                    }
-                    rs.clear();
-                }
-                last_writer.insert(word, r);
-            }
-            dedup_tail(&mut edges, before);
-        }
-        edges
-    };
-
-    let edges = if threads == 1 {
-        worker(0)
-    } else {
-        let locals: Vec<Vec<(BlockRef, BlockRef)>> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..threads).map(|id| s.spawn(move || worker(id))).collect();
-            handles.into_iter().map(|h| h.join().expect("dep-graph workers do not panic")).collect()
-        });
-        let mut merged = Vec::with_capacity(locals.iter().map(Vec::len).sum());
-        for local in locals {
-            merged.extend(local);
-        }
-        merged
-    };
-
-    csr_from_edges(edges, num_blocks)
 }
 
 /// The block-level dependency graph of an application, in CSR form.
@@ -612,57 +568,6 @@ mod tests {
         let g = b.finish();
         assert_eq!(g.blocks_of_node(3), 8);
         assert_eq!(g.blocks_of_node(99), 0);
-    }
-
-    #[test]
-    fn parallel_builder_matches_serial_on_stencil() {
-        // Same workload as `stencil_pattern_matches_paper_fig1b`, built
-        // serially and via the sharded builder at several thread counts.
-        let mut traces: Vec<(BlockRef, BlockTrace)> = Vec::new();
-        for i in 0..4u32 {
-            let words: Vec<u64> = (0..10).map(|k| (10 * i + k) as u64).collect();
-            traces.push((BlockRef::new(0, i), trace(&[], &words)));
-        }
-        let reads: Vec<u64> = (0..4u64).flat_map(|i| (0..4).map(move |k| 10 * i + k)).collect();
-        traces.push((BlockRef::new(1, 0), trace(&reads, &[100])));
-
-        let mut b = DepGraphBuilder::new();
-        for (r, t) in &traces {
-            b.visit_block(*r, t);
-        }
-        let serial = b.finish();
-
-        let visits: Vec<(BlockRef, &BlockTrace)> = traces.iter().map(|(r, t)| (*r, t)).collect();
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(build_dep_graph(&visits, threads), serial, "threads {threads}");
-        }
-    }
-
-    #[test]
-    fn parallel_builder_matches_serial_on_hazards() {
-        // Overwrites and re-reads across shard boundaries: WAR/WAW edges
-        // must come out identical from the sharded and serial builders.
-        let traces: Vec<(BlockRef, BlockTrace)> = vec![
-            (BlockRef::new(0, 0), trace(&[], &(0..16).collect::<Vec<u64>>())),
-            (BlockRef::new(1, 0), trace(&(0..8).collect::<Vec<u64>>(), &[20])),
-            (BlockRef::new(2, 0), trace(&(4..12).collect::<Vec<u64>>(), &[21])),
-            (BlockRef::new(3, 0), trace(&[], &(2..10).collect::<Vec<u64>>())),
-            (BlockRef::new(4, 0), trace(&(0..16).collect::<Vec<u64>>(), &[20, 21])),
-        ];
-
-        let mut b = DepGraphBuilder::new();
-        for (r, t) in &traces {
-            b.visit_block(*r, t);
-        }
-        let serial = b.finish();
-        // Sanity: node 3's overwrite is WAR-ordered after both readers.
-        assert!(serial.deps_of(BlockRef::new(3, 0)).contains(&BlockRef::new(1, 0)));
-        assert!(serial.deps_of(BlockRef::new(3, 0)).contains(&BlockRef::new(2, 0)));
-
-        let visits: Vec<(BlockRef, &BlockTrace)> = traces.iter().map(|(r, t)| (*r, t)).collect();
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(build_dep_graph(&visits, threads), serial, "threads {threads}");
-        }
     }
 
     #[test]

@@ -28,7 +28,7 @@ mod structural;
 mod wordmap;
 
 pub use affine::synthesize_affine;
-pub use blockdep::{build_dep_graph, BlockDepGraph, BlockRef, DepGraphBuilder, DEP_SHARDS};
+pub use blockdep::{BlockDepGraph, BlockRef, DepGraphBuilder};
 pub use footprint::{footprint_of, FootprintSet};
 pub use lineset::LineSet;
 pub use record::{

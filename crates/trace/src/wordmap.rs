@@ -1,29 +1,28 @@
-//! Flat open-addressing last-writer table keyed by 4-byte word address.
+//! Flat open-addressing table giving every 4-byte word address a dense slot.
 //!
-//! The dependency analyzer resolves every read of every block against a
-//! *last-writer* map (word → producing block). That probe is the single
-//! hottest operation of the block analyzer, and the `std` `HashMap` pays a
+//! The word-level dependency builder keeps its per-word state (last writer,
+//! readers since that write) in flat arrays indexed by a dense *slot*, and
+//! looks the slot up once per read or written word of every block. That
+//! probe is the builder's hottest operation, and the `std` `HashMap` pays a
 //! SipHash invocation plus bucket indirection per probe. [`WordMap`] stores
-//! the table as two flat arrays (keys and packed [`BlockRef`] values) with
-//! multiplicative hashing and linear probing:
+//! the table as two flat arrays (keys and `u32` slots) with multiplicative
+//! hashing and linear probing:
 //!
 //! * one multiply + shift to hash, then a contiguous probe sequence — no
 //!   per-probe pointer chasing and no hashing state;
-//! * inserts only ever *overwrite or append*; the analyzer never deletes,
-//!   so the table needs no tombstones and probe chains never degrade over
-//!   repeated [`visit_block`](crate::DepGraphBuilder::visit_block) calls;
+//! * slots are handed out in first-seen order (`0, 1, 2, …`) and never
+//!   removed, so the table needs no tombstones and probe chains never
+//!   degrade over repeated [`slot`](WordMap::slot) calls;
 //! * growth doubles the capacity and rehashes in place of the old table.
 //!
 //! Word addresses are byte addresses shifted right by two, so `u64::MAX`
 //! can never be a key and serves as the empty-slot sentinel.
 
-use crate::blockdep::BlockRef;
-
 /// Empty-slot sentinel. Word addresses are `byte_addr >> 2 < 2^62`, so the
 /// sentinel can never collide with a real key.
 const EMPTY: u64 = u64::MAX;
 
-/// Initial capacity (slots) of a non-empty table. Power of two.
+/// Initial capacity (table entries) of a non-empty table. Power of two.
 const MIN_CAPACITY: usize = 64;
 
 /// Multiplicative hash of a word address (SplitMix64 finalizer — the same
@@ -36,53 +35,34 @@ fn hash(word: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-#[inline]
-fn pack(r: BlockRef) -> u64 {
-    ((r.node as u64) << 32) | r.block as u64
-}
-
-#[inline]
-fn unpack(v: u64) -> BlockRef {
-    BlockRef::new((v >> 32) as u32, v as u32)
-}
-
-/// A word-address → [`BlockRef`] map as a flat open-addressing table.
+/// A word-address → dense-slot map as a flat open-addressing table.
 ///
 /// # Examples
 ///
 /// ```
-/// use trace::{BlockRef, WordMap};
+/// use trace::WordMap;
 /// let mut m = WordMap::new();
-/// m.insert(100, BlockRef::new(1, 2));
-/// m.insert(100, BlockRef::new(3, 4)); // last writer wins
-/// assert_eq!(m.get(100), Some(BlockRef::new(3, 4)));
+/// assert_eq!(m.slot(100), 0);
+/// assert_eq!(m.slot(7), 1);
+/// assert_eq!(m.slot(100), 0); // a word keeps its slot
+/// assert_eq!(m.get(7), Some(1));
 /// assert_eq!(m.get(101), None);
-/// assert_eq!(m.len(), 1);
+/// assert_eq!(m.len(), 2);
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct WordMap {
-    /// Slot keys; `EMPTY` marks a free slot. Length is a power of two.
+    /// Table keys; `EMPTY` marks a free entry. Length is a power of two.
     keys: Vec<u64>,
-    /// Packed `BlockRef` values, parallel to `keys`.
-    vals: Vec<u64>,
-    /// Number of occupied slots.
+    /// Dense slots, parallel to `keys`.
+    slots: Vec<u32>,
+    /// Number of words seen, which is also the next slot to hand out.
     len: usize,
 }
 
 impl WordMap {
-    /// Creates an empty map (no allocation until the first insert).
+    /// Creates an empty map (no allocation until the first word).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Creates a map pre-sized for at least `entries` insertions without
-    /// growing.
-    pub fn with_capacity(entries: usize) -> Self {
-        let mut m = WordMap::default();
-        if entries > 0 {
-            m.allocate((entries * 2).next_power_of_two().max(MIN_CAPACITY));
-        }
-        m
     }
 
     /// Number of distinct words in the map.
@@ -95,20 +75,8 @@ impl WordMap {
         self.len == 0
     }
 
-    /// Removes every entry, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.keys.fill(EMPTY);
-        self.len = 0;
-    }
-
-    fn allocate(&mut self, capacity: usize) {
-        debug_assert!(capacity.is_power_of_two());
-        self.keys = vec![EMPTY; capacity];
-        self.vals = vec![0; capacity];
-    }
-
-    /// Slot of `word`: its current slot, or the free slot where it would be
-    /// inserted.
+    /// Table index of `word`: its current entry, or the free entry where it
+    /// would be inserted.
     #[inline]
     fn probe(&self, word: u64) -> usize {
         let mask = self.keys.len() - 1;
@@ -122,20 +90,24 @@ impl WordMap {
         }
     }
 
-    /// The last writer recorded for `word`, if any.
+    /// The slot of `word`, if it has one.
     #[inline]
-    pub fn get(&self, word: u64) -> Option<BlockRef> {
+    pub fn get(&self, word: u64) -> Option<u32> {
         if self.keys.is_empty() {
             return None;
         }
         let i = self.probe(word);
-        (self.keys[i] == word).then(|| unpack(self.vals[i]))
+        (self.keys[i] == word).then(|| self.slots[i])
     }
 
-    /// Records `r` as the last writer of `word`, replacing any previous
-    /// entry.
+    /// The slot of `word`, handing out the next one (`len()` before the
+    /// call) if the word is new.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the map would exceed `u32::MAX` words.
     #[inline]
-    pub fn insert(&mut self, word: u64, r: BlockRef) {
+    pub fn slot(&mut self, word: u64) -> u32 {
         debug_assert_ne!(word, EMPTY, "word addresses never reach the sentinel");
         // Grow at 3/4 load so probe chains stay short.
         if self.keys.is_empty() || (self.len + 1) * 4 > self.keys.len() * 3 {
@@ -144,21 +116,21 @@ impl WordMap {
         let i = self.probe(word);
         if self.keys[i] == EMPTY {
             self.keys[i] = word;
+            self.slots[i] = u32::try_from(self.len).expect("fewer than 2^32 distinct words");
             self.len += 1;
         }
-        self.vals[i] = pack(r);
+        self.slots[i]
     }
 
     fn grow(&mut self) {
         let new_cap = (self.keys.len() * 2).max(MIN_CAPACITY);
-        let old_keys = std::mem::take(&mut self.keys);
-        let old_vals = std::mem::take(&mut self.vals);
-        self.allocate(new_cap);
-        for (k, v) in old_keys.into_iter().zip(old_vals) {
+        let old_keys = std::mem::replace(&mut self.keys, vec![EMPTY; new_cap]);
+        let old_slots = std::mem::replace(&mut self.slots, vec![0; new_cap]);
+        for (k, s) in old_keys.into_iter().zip(old_slots) {
             if k != EMPTY {
                 let i = self.probe(k);
                 self.keys[i] = k;
-                self.vals[i] = v;
+                self.slots[i] = s;
             }
         }
     }
@@ -180,58 +152,34 @@ mod tests {
     }
 
     #[test]
-    fn insert_probe_overwrite() {
-        let mut m = WordMap::new();
-        m.insert(7, BlockRef::new(0, 1));
-        m.insert(7, BlockRef::new(2, 3));
-        assert_eq!(m.len(), 1);
-        assert_eq!(m.get(7), Some(BlockRef::new(2, 3)));
-    }
-
-    #[test]
     fn grows_past_initial_capacity() {
-        let mut m = WordMap::with_capacity(4);
+        let mut m = WordMap::new();
         for w in 0..10_000u64 {
-            m.insert(w, BlockRef::new((w % 7) as u32, w as u32));
+            assert_eq!(m.slot(w * 3), w as u32);
         }
         assert_eq!(m.len(), 10_000);
         for w in 0..10_000u64 {
-            assert_eq!(m.get(w), Some(BlockRef::new((w % 7) as u32, w as u32)));
+            assert_eq!(m.get(w * 3), Some(w as u32));
         }
-        assert_eq!(m.get(10_000), None);
-    }
-
-    #[test]
-    fn clear_keeps_allocation_and_empties() {
-        let mut m = WordMap::new();
-        for w in 0..100u64 {
-            m.insert(w, BlockRef::new(0, w as u32));
-        }
-        let cap = m.keys.len();
-        m.clear();
-        assert!(m.is_empty());
-        assert_eq!(m.keys.len(), cap);
-        assert_eq!(m.get(5), None);
-        m.insert(5, BlockRef::new(9, 9));
-        assert_eq!(m.get(5), Some(BlockRef::new(9, 9)));
+        assert_eq!(m.get(1), None);
     }
 
     /// Matches a `std` `HashMap` reference under random interleavings of
-    /// inserts (with overwrites) and probes — including keys engineered to
-    /// collide after masking.
+    /// slot requests (new and repeated words) and probes — including keys
+    /// engineered to collide after masking.
     #[test]
     fn matches_hashmap_reference() {
         for seed in 0..32u64 {
             let mut rng = SplitMix64::new(seed);
             let mut m = WordMap::new();
-            let mut reference: HashMap<u64, BlockRef> = HashMap::new();
-            for step in 0..2_000usize {
-                // Cluster keys into a few strides so slots collide often.
+            let mut reference: HashMap<u64, u32> = HashMap::new();
+            for _ in 0..2_000usize {
+                // Cluster keys into a few strides so entries collide often.
                 let word = rng.gen_range_u64(0, 64) * 1024 + rng.gen_range_u64(0, 8);
                 if rng.gen_bool() {
-                    let r = BlockRef::new(rng.gen_range_u32(0, 8), step as u32);
-                    m.insert(word, r);
-                    reference.insert(word, r);
+                    let next = reference.len() as u32;
+                    let want = *reference.entry(word).or_insert(next);
+                    assert_eq!(m.slot(word), want, "seed {seed}");
                 } else {
                     assert_eq!(m.get(word), reference.get(&word).copied(), "seed {seed}");
                 }
@@ -241,23 +189,19 @@ mod tests {
     }
 
     /// Tombstone-free reuse: probe chains stay intact across arbitrarily
-    /// many overwrite rounds (the `visit_block` access pattern — the same
-    /// words are overwritten by successive producer nodes).
+    /// many lookup rounds over the same words (the dependency builder's
+    /// access pattern — successive nodes touch the same buffers).
     #[test]
-    fn overwrite_rounds_do_not_degrade() {
+    fn repeated_rounds_do_not_degrade() {
         let mut m = WordMap::new();
         for round in 0..50u32 {
             for w in 0..500u64 {
-                m.insert(w, BlockRef::new(round, w as u32));
+                assert_eq!(m.slot(w), w as u32, "round {round}");
             }
             assert_eq!(m.len(), 500, "round {round}");
         }
-        let cap = m.keys.len();
-        // 500 live keys at <= 3/4 load never grow past 2048 slots: the
-        // table did not accumulate dead slots across 50 rounds.
-        assert!(cap <= 2048, "capacity {cap} grew from overwrites");
-        for w in 0..500u64 {
-            assert_eq!(m.get(w), Some(BlockRef::new(49, w as u32)));
-        }
+        // 500 live keys at <= 3/4 load never grow past 1024 entries: the
+        // table did not accumulate dead entries across 50 rounds.
+        assert!(m.keys.len() <= 1024, "capacity {} grew from repeats", m.keys.len());
     }
 }

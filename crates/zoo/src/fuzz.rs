@@ -15,7 +15,7 @@
 //! oracle at every stage:
 //!
 //! 1. `analyze_fast` (structural/affine fast paths) must equal
-//!    `analyze_reference_with` (record everything) — order, per-node
+//!    `analyze_reference` (record everything) — order, per-node
 //!    block traces and the block dependency graph.
 //! 2. `ktiler_schedule` must produce a schedule that passes both
 //!    [`Schedule::validate`] and the independent [`verify_schedule`]
@@ -459,20 +459,18 @@ pub fn run_case(seed: u64) -> Result<CaseStats, Divergence> {
     let err = |stage: &'static str, detail: String| Divergence { seed, stage, detail };
     let cfg = GpuConfig::gtx960m();
     let lb = cfg.cache.line_bytes;
-    // Pipeline knobs also derive from the seed: worker counts exercise
-    // the sharded analyzer paths, thresholds vary merge aggressiveness,
-    // and shrunken cache capacities force real tile splits (at the true
-    // 2 MiB L2 these small workloads would never overflow a window, and
-    // the interleaved sub-launch paths would go untested).
-    let threads = 1 + (seed % 4) as usize;
+    // Pipeline knobs also derive from the seed: thresholds vary merge
+    // aggressiveness, and shrunken cache capacities force real tile splits
+    // (at the true 2 MiB L2 these small workloads would never overflow a
+    // window, and the interleaved sub-launch paths would go untested).
     let thld = [0.0, 250.0, 1000.0][(seed / 7 % 3) as usize];
     let capacity = [4096, 16384, 65536, cfg.cache.capacity_bytes][(seed / 3 % 4) as usize];
 
     let mut app = gen_app(seed);
-    let gt = kgraph::analyze_fast_with(&app.graph, &mut app.mem, lb, threads)
+    let gt = kgraph::analyze_fast(&app.graph, &mut app.mem, lb)
         .map_err(|e| err("analyze", format!("fast analyzer rejected the DAG: {e:?}")))?;
     let mut app_ref = gen_app(seed);
-    let gt_ref = kgraph::analyze_reference_with(&app_ref.graph, &mut app_ref.mem, lb, 1)
+    let gt_ref = kgraph::analyze_reference(&app_ref.graph, &mut app_ref.mem, lb)
         .map_err(|e| err("analyze", format!("reference analyzer rejected the DAG: {e:?}")))?;
     compare_traces(&gt, &gt_ref).map_err(|d| err("analyze", d))?;
 

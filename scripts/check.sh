@@ -74,17 +74,20 @@ echo "== chaos suite (fixed seed) =="
 # here reproduces byte-for-byte.
 KTILER_CHAOS_SEED=20260806 cargo test -p ktiler-svc --test chaos_service -q "${OFFLINE[@]}"
 
-echo "== analyzer equivalence (paper-scale, release) =="
+echo "== analyzer equivalence + fast-vs-oracle gate (paper-scale, release) =="
 # The fast analyzer (structural trace reuse + analytical affine footprints)
-# must be byte-identical to the full-trace reference on the 512²/30-iter
-# workload the acceptance bar names, for serial and multi-threaded builds.
-cargo test --release -p bench --test analyzer_equivalence "${OFFLINE[@]}" -- --ignored
+# and the full analyzer must be byte-identical to the word-level reference
+# on the 512²/30-iter workload the acceptance bar names and on the zoo at
+# mid scale. The paper-scale test also fails when the reference takes less
+# than 5x the fastest of three analyze_fast runs, and prints the ratio.
+cargo test --release -p bench --test analyzer_equivalence "${OFFLINE[@]}" -- --ignored --nocapture
 
 echo "== analyzer scaling gate (release) =="
 # The fast analyzer on optical flow at 256²×10×3 and 512²×10×3, min of 3
 # interleaved samples each: 4x the pixels must cost at most 6x the time
 # (linear reads ~4). A dependency pass that grows with blocks-per-node
-# squared reads ~10x here, which the 192² speedup gate below cannot see.
+# squared reads ~10x here, which the equivalence step's 5x fast-vs-oracle
+# gate is too coarse to see.
 cargo test --release -p bench --test analyzer_scaling "${OFFLINE[@]}" -- --ignored --nocapture
 
 echo "== fuzz corpus regression suite (release) =="
@@ -103,41 +106,13 @@ echo "== DAG fuzz smoke (seeds 0..200) =="
 # Exits non-zero on any divergence.
 cargo run --release -p bench --bin fuzz_dags "${OFFLINE[@]}" -- --seed0 0 --count 200
 
-echo "== bench_scheduler smoke test =="
-# One-sample run on a small workload: the JSON must carry the phase
-# timings, both determinism cross-checks must pass (parallel sharded
-# analyzer == serial builder; schedule hash identical on both paths), and
-# the fast analyzer must match the full-trace reference while beating it
-# by at least 5x. 192²/10-iter is the smallest scale where structural
-# reuse dominates the fixed per-run costs enough for that margin to be
-# stable; the committed 512² results show ~44x.
-SMOKE_JSON=$(mktemp /tmp/bench_scheduler_smoke.XXXXXX.json)
 ZOO_JSON=$(mktemp /tmp/bench_zoo_smoke.XXXXXX.json)
 SVC_DIR=$(mktemp -d /tmp/ktiler_svc_smoke.XXXXXX)
 MN_DIR=$(mktemp -d /tmp/ktiler_multi_smoke.XXXXXX)
-trap 'rm -f "$SMOKE_JSON" "$ZOO_JSON"; rm -rf "$SVC_DIR" "$MN_DIR";
+trap 'rm -f "$ZOO_JSON"; rm -rf "$SVC_DIR" "$MN_DIR";
       for p in "${SERVE_PID:-}" "${NODE0_PID:-}" "${NODE1_PID:-}" "${GW_PID:-}"; do
           [[ -n "$p" ]] && kill "$p" 2>/dev/null || true
       done' EXIT
-cargo run --release -p bench --bin bench_scheduler "${OFFLINE[@]}" -- \
-    --size 192 --iters 10 --samples 1 --out "$SMOKE_JSON"
-for key in analyze_ms analyze_full_ms calibrate_ms ktiler_schedule_ms cold_request_ms; do
-    if ! grep -q "\"$key\"" "$SMOKE_JSON"; then
-        echo "error: $key missing from bench_scheduler output" >&2
-        exit 1
-    fi
-done
-for check in '"analyze_match": true' '"analyzer_match": true' '"schedule_hash_match": true'; do
-    if ! grep -qF "$check" "$SMOKE_JSON"; then
-        echo "error: bench_scheduler determinism check failed: expected $check" >&2
-        exit 1
-    fi
-done
-SPEEDUP=$(awk -F': ' '/"analyze_speedup"/ { gsub(/,/, "", $2); print $2 }' "$SMOKE_JSON")
-if ! awk -v s="$SPEEDUP" 'BEGIN { exit !(s >= 5) }'; then
-    echo "error: fast-analyzer speedup regressed: analyze_speedup = ${SPEEDUP:-missing} (< 5)" >&2
-    exit 1
-fi
 
 echo "== workload zoo: smoke run + committed-results freshness =="
 # Smoke scale: the binary itself asserts verify_ok and outputs_match for
@@ -349,7 +324,7 @@ echo "== bench_svc: smoke run + committed-results gate =="
 # reference.
 SVC_JSON=$(mktemp /tmp/bench_svc_smoke.XXXXXX.json)
 SVC_WORK=$(mktemp -d /tmp/bench_svc_work.XXXXXX)
-trap 'rm -f "$SMOKE_JSON" "$ZOO_JSON" "$SVC_JSON"; rm -rf "$SVC_DIR" "$MN_DIR" "$SVC_WORK";
+trap 'rm -f "$ZOO_JSON" "$SVC_JSON"; rm -rf "$SVC_DIR" "$MN_DIR" "$SVC_WORK";
       for p in "${SERVE_PID:-}" "${NODE0_PID:-}" "${NODE1_PID:-}" "${GW_PID:-}"; do
           [[ -n "$p" ]] && kill "$p" 2>/dev/null || true
       done' EXIT
@@ -379,7 +354,7 @@ echo "== crash-recovery smoke (SIGKILL mid-store -> anti-entropy heal) =="
 # anti-entropy reaching a byte-identical copy with zero client traffic,
 # then a plain local HIT.
 CR_DIR=$(mktemp -d /tmp/ktiler_crash_smoke.XXXXXX)
-trap 'rm -f "$SMOKE_JSON" "$ZOO_JSON" "$SVC_JSON";
+trap 'rm -f "$ZOO_JSON" "$SVC_JSON";
       rm -rf "$SVC_DIR" "$MN_DIR" "$SVC_WORK" "$CR_DIR";
       for p in "${SERVE_PID:-}" "${NODE0_PID:-}" "${NODE1_PID:-}" "${GW_PID:-}" \
                "${CR_A_PID:-}" "${CR_B_PID:-}" "${CR_CLIENT_PID:-}"; do
