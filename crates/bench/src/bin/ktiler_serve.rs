@@ -7,8 +7,8 @@
 //! ```text
 //! ktiler_serve [--addr HOST:PORT] [--cache-dir DIR] [--workers N]
 //!              [--queue N] [--port-file PATH] [--stats-out PATH]
-//!              [--read-poll-ms N] [--write-timeout-ms N]
-//!              [--stall-timeout-ms N] [--peer HOST:PORT]...
+//!              [--write-timeout-ms N] [--stall-timeout-ms N]
+//!              [--peer HOST:PORT]...
 //!              [--peer-timeout-ms N] [--sync-interval-ms N]
 //!              [--cache-budget-bytes N] [--fault PLAN]
 //! ```
@@ -18,9 +18,9 @@
 //! scripts), `--cache-dir .ktiler-cache`, 2 workers, a 64-deep queue.
 //! The final metrics JSON goes to `--stats-out` when given, stderr always.
 //! The timeout flags tune how the front-end treats misbehaving peers
-//! (see [`ktiler_svc::ServerTuning`]): how often an idle socket re-checks
-//! the stop flag, how long a non-reading client may block a write, and
-//! how long a peer may sit mid-frame before it is dropped as stalled.
+//! (see [`ktiler_svc::ServerTuning`]): how long a non-reading client may
+//! block a write, and how long a peer may sit mid-frame before it is
+//! dropped as stalled.
 //!
 //! `--peer` (repeatable) names other nodes of a multi-node deployment:
 //! on a cache miss this node first tries to `FETCH` the artifact from a
@@ -58,8 +58,8 @@ fn arg_values(name: &str) -> Vec<String> {
 fn usage() -> ! {
     eprintln!(
         "usage: ktiler_serve [--addr HOST:PORT] [--cache-dir DIR] [--workers N] \
-         [--queue N] [--port-file PATH] [--stats-out PATH] [--read-poll-ms N] \
-         [--write-timeout-ms N] [--stall-timeout-ms N] [--peer HOST:PORT]... \
+         [--queue N] [--port-file PATH] [--stats-out PATH] [--write-timeout-ms N] \
+         [--stall-timeout-ms N] [--peer HOST:PORT]... \
          [--peer-timeout-ms N] [--sync-interval-ms N] [--cache-budget-bytes N] \
          [--fault PLAN]"
     );
@@ -96,7 +96,6 @@ fn main() {
     }
     let defaults = ServerTuning::default();
     let tuning = ServerTuning {
-        read_poll: arg_millis("--read-poll-ms", defaults.read_poll),
         write_timeout: arg_millis("--write-timeout-ms", defaults.write_timeout),
         stall_timeout: arg_millis("--stall-timeout-ms", defaults.stall_timeout),
     };

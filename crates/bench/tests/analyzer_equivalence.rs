@@ -5,8 +5,10 @@
 //! workload in the zoo** (multigrid V-cycle, image pipeline, tiled-matmul
 //! chain) — the zoo DAGs exercise structural shapes (deep restriction
 //! chains, aliased frame buffers, ping-pong matmul operands) the
-//! optical-flow pyramid never produces. The paper-scale test also gates
-//! how much faster the fast analyzer is than the reference.
+//! optical-flow pyramid never produces. Every test also pins how many
+//! kernels the fast analyzer had to record (the rest are shared, rebased
+//! or synthesized), and the paper-scale test gates how much faster it is
+//! than the reference.
 //!
 //! The small-scale tests run in the normal suite; the 512²/30-iter/3-level
 //! optical-flow workload from the paper replication and the mid-scale zoo
@@ -16,7 +18,7 @@
 use std::time::Instant;
 
 use bench::{build_workload_app, Scale};
-use kgraph::GraphTrace;
+use kgraph::{GraphTrace, TraceSource};
 use zoo::ZooApp;
 
 /// The GTX 960M cache-line size used by the paper replication.
@@ -44,10 +46,11 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
 }
 
 /// Seconds taken by the one reference run and the one fast run of
-/// [`check_builds`].
+/// [`check_builds`], and how many kernels the fast run recorded.
 struct Timings {
     reference_s: f64,
     fast_s: f64,
+    recorded: usize,
 }
 
 /// Runs the reference, the fast and the full analyzer on fresh builds of
@@ -71,7 +74,7 @@ fn check_builds<F: Fn() -> (kgraph::AppGraph, gpu_sim::DeviceMemory)>(
     let (graph, mut mem) = build();
     let full = kgraph::analyze(&graph, &mut mem, line_bytes()).expect("workload graphs are DAGs");
     assert_equivalent(&full, &reference, &format!("{label}: analyze"));
-    Timings { reference_s, fast_s }
+    Timings { reference_s, fast_s, recorded: fast.count(TraceSource::Recorded) }
 }
 
 fn optflow(scale: Scale) -> impl Fn() -> (kgraph::AppGraph, gpu_sim::DeviceMemory) {
@@ -81,26 +84,42 @@ fn optflow(scale: Scale) -> impl Fn() -> (kgraph::AppGraph, gpu_sim::DeviceMemor
     }
 }
 
-fn check_zoo(build: fn() -> ZooApp, label: &str) {
-    check_builds(
+/// Requires the fast analyzer to have recorded exactly `expected`
+/// kernels. A timing ratio cannot see a fast path that silently falls
+/// back to recording (the reference's own time is mostly its dependency
+/// pass); this count can.
+fn assert_recorded(t: &Timings, expected: usize, label: &str) {
+    assert_eq!(t.recorded, expected, "{label}: analyze_fast recorded {} kernels", t.recorded);
+}
+
+fn check_zoo(build: fn() -> ZooApp, label: &str, recorded: usize) {
+    let t = check_builds(
         || {
             let app = build();
             (app.graph, app.mem)
         },
         label,
     );
+    assert_recorded(&t, recorded, label);
 }
+
+/// Optical flow records three kernels at any scale; every other kernel
+/// instance (each Jacobi iteration, warp and pyramid level) is shared,
+/// rebased or synthesized.
+const OPTFLOW_RECORDED: usize = 3;
 
 #[test]
 fn fast_analyzer_matches_reference_small() {
-    check_builds(optflow(Scale { size: 128, iters: 4, levels: 3 }), "hsoptflow 128x4x3");
+    let label = "hsoptflow 128x4x3";
+    let t = check_builds(optflow(Scale { size: 128, iters: 4, levels: 3 }), label);
+    assert_recorded(&t, OPTFLOW_RECORDED, label);
 }
 
 #[test]
 fn fast_analyzer_matches_reference_zoo_small() {
-    check_zoo(|| zoo::build_multigrid(32, 2), "multigrid 32x32x2");
-    check_zoo(|| zoo::build_image_pipeline(64, 48, 2), "image_pipeline 64x48x2");
-    check_zoo(|| zoo::build_matmul_chain(24, 3), "matmul_chain 24x24x3");
+    check_zoo(|| zoo::build_multigrid(32, 2), "multigrid 32x32x2", 0);
+    check_zoo(|| zoo::build_image_pipeline(64, 48, 2), "image_pipeline 64x48x2", 3);
+    check_zoo(|| zoo::build_matmul_chain(24, 3), "matmul_chain 24x24x3", 3);
 }
 
 /// The acceptance-bar workload: 512², 30 Jacobi iterations, 3 pyramid
@@ -111,7 +130,8 @@ fn fast_analyzer_matches_reference_zoo_small() {
 /// 2-vCPU VM). A dependency pass quadratic in blocks per node (fast
 /// analysis ~9 s) fails it. It is coarse: a fast analyzer that records
 /// every kernel still reads ~5.6x, because the reference's own time is
-/// mostly its word-level dependency pass.
+/// mostly its word-level dependency pass; the recorded-kernel count
+/// catches that case instead.
 #[test]
 #[ignore = "tens of seconds in release; exercised by scripts/check.sh"]
 fn fast_analyzer_matches_reference_paper_scale() {
@@ -129,6 +149,7 @@ fn fast_analyzer_matches_reference_paper_scale() {
         t.reference_s
     );
     assert!(speedup >= 5.0, "fast analyzer only {speedup:.2}x faster than the reference (< 5)");
+    assert_recorded(&t, OPTFLOW_RECORDED, "hsoptflow 512x30x3");
 }
 
 /// Mid-scale zoo sweep: large enough that structural trace reuse and the
@@ -137,7 +158,7 @@ fn fast_analyzer_matches_reference_paper_scale() {
 #[test]
 #[ignore = "seconds in release, minutes in debug; exercised by scripts/check.sh"]
 fn fast_analyzer_matches_reference_zoo_mid_scale() {
-    check_zoo(|| zoo::build_multigrid(128, 4), "multigrid 128x128x4");
-    check_zoo(|| zoo::build_image_pipeline(256, 192, 3), "image_pipeline 256x192x3");
-    check_zoo(|| zoo::build_matmul_chain(96, 4), "matmul_chain 96x96x4");
+    check_zoo(|| zoo::build_multigrid(128, 4), "multigrid 128x128x4", 0);
+    check_zoo(|| zoo::build_image_pipeline(256, 192, 3), "image_pipeline 256x192x3", 3);
+    check_zoo(|| zoo::build_matmul_chain(96, 4), "matmul_chain 96x96x4", 3);
 }

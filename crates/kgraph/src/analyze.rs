@@ -61,6 +61,22 @@ use crate::dag::{topo_order, CycleError};
 use crate::graph::{AppGraph, NodeId, NodeOp};
 use crate::kernel::Kernel;
 
+/// How the analyzer obtained a node's trace.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum TraceSource {
+    /// Recorded by executing the kernel with the recorder on.
+    Recorded,
+    /// Reused verbatim from an earlier kernel with the same exact
+    /// signature.
+    Shared,
+    /// Rebased from the first instance of the kernel's structural class.
+    Rebased,
+    /// Synthesized from the kernel's affine summary and grid geometry.
+    Synthesized,
+    /// A host/device transfer's whole-buffer pseudo-trace.
+    Transfer,
+}
+
 /// The analyzed trace of one node: one [`BlockTrace`] per block (transfers
 /// get a single pseudo-block covering their whole buffer).
 #[derive(Debug, Clone)]
@@ -68,6 +84,10 @@ pub struct NodeTrace {
     /// Per-block traces, indexed by linear block id. Shared between nodes
     /// with identical kernel signatures.
     pub blocks: Arc<Vec<BlockTrace>>,
+    /// How the trace was obtained. The fast paths must leave only a
+    /// handful of prototypes [`TraceSource::Recorded`]; the reference
+    /// analyzer records every kernel it cannot share.
+    pub source: TraceSource,
 }
 
 impl NodeTrace {
@@ -106,6 +126,11 @@ impl GraphTrace {
     /// Panics if the id is out of range.
     pub fn node(&self, id: NodeId) -> &NodeTrace {
         &self.nodes[id.0 as usize]
+    }
+
+    /// Number of nodes whose trace was obtained by `source`.
+    pub fn count(&self, source: TraceSource) -> usize {
+        self.nodes.iter().filter(|n| n.source == source).count()
     }
 }
 
@@ -279,12 +304,12 @@ fn analyze_impl(
     for &id in &order {
         let node = g.node(id);
         let exec = must_exec[id.0 as usize];
-        let traces: Arc<Vec<BlockTrace>> = match &node.op {
+        let (traces, source) = match &node.op {
             NodeOp::Kernel(k) => {
                 let dims = k.dims();
                 let sig = k.signature();
                 let ssig = k.structural_signature();
-                let shared = match sig.as_ref().and_then(|s| sig_cache.get(s).cloned()) {
+                let (shared, source) = match sig.as_ref().and_then(|s| sig_cache.get(s).cloned()) {
                     // 1. Exact signature repeat: reuse the trace verbatim.
                     //    Addresses cannot differ (that is what the
                     //    signature asserts); values may, so re-execute if
@@ -293,10 +318,10 @@ fn analyze_impl(
                         if exec {
                             run_functional(k.as_ref(), &dims, mem, &mut rec);
                         }
-                        hit
+                        (hit, TraceSource::Shared)
                     }
                     None => {
-                        let derived: Option<Arc<Vec<BlockTrace>>> = ssig
+                        let derived = ssig
                             .as_ref()
                             .and_then(|ss| {
                                 // 2. Structural class: rebase the
@@ -304,20 +329,21 @@ fn analyze_impl(
                                 //    instance's buffer roles.
                                 let (roles, proto) = class_cache.get(&ss.class)?;
                                 let map = OffsetMap::between(roles, &ss.roles, line_bytes)?;
-                                rebase_traces(proto, &map).map(Arc::new)
+                                Some((Arc::new(rebase_traces(proto, &map)?), TraceSource::Rebased))
                             })
                             .or_else(|| {
                                 // 3. Affine summary: synthesize the traces
                                 //    from grid geometry alone.
                                 let summary = k.affine_summary()?;
-                                synthesize_affine(&summary, &dims, line_bytes).map(Arc::new)
+                                let traces = synthesize_affine(&summary, &dims, line_bytes)?;
+                                Some((Arc::new(traces), TraceSource::Synthesized))
                             });
-                        let arc = match derived {
-                            Some(arc) => {
+                        let (arc, source) = match derived {
+                            Some(derived) => {
                                 if exec {
                                     run_functional(k.as_ref(), &dims, mem, &mut rec);
                                 }
-                                arc
+                                derived
                             }
                             None => {
                                 // 4. Record. The plan only skips execution
@@ -341,27 +367,30 @@ fn analyze_impl(
                                     k.execute_block(block, &mut ctx);
                                     raw.push(rec.finish_block_raw());
                                 }
-                                Arc::new(coalesce_blocks(raw, default_threads()))
+                                let traces = coalesce_blocks(raw, default_threads());
+                                (Arc::new(traces), TraceSource::Recorded)
                             }
                         };
                         if let Some(s) = sig {
                             sig_cache.insert(s, Arc::clone(&arc));
                         }
-                        arc
+                        (arc, source)
                     }
                 };
                 if let Some(ss) = ssig {
                     class_cache.entry(ss.class).or_insert_with(|| (ss.roles, Arc::clone(&shared)));
                 }
-                shared
+                (shared, source)
             }
             NodeOp::HostToDevice { buf, data } => {
                 mem.upload_u8(*buf, data);
-                Arc::new(vec![transfer_trace(*buf, true, line_bytes)])
+                (Arc::new(vec![transfer_trace(*buf, true, line_bytes)]), TraceSource::Transfer)
             }
-            NodeOp::DeviceToHost { buf } => Arc::new(vec![transfer_trace(*buf, false, line_bytes)]),
+            NodeOp::DeviceToHost { buf } => {
+                (Arc::new(vec![transfer_trace(*buf, false, line_bytes)]), TraceSource::Transfer)
+            }
         };
-        nodes[id.0 as usize] = Some(NodeTrace { blocks: traces });
+        nodes[id.0 as usize] = Some(NodeTrace { blocks: traces, source });
     }
 
     // Structural dependency pass over the completed traces, in the same
@@ -407,14 +436,14 @@ pub fn analyze_reference(
 
     for &id in &order {
         let node = g.node(id);
-        let traces: Arc<Vec<BlockTrace>> = match &node.op {
+        let (traces, source) = match &node.op {
             NodeOp::Kernel(k) => {
                 let dims = k.dims();
                 let sig = k.signature();
                 let cached = sig.as_ref().and_then(|s| cache.get(s).cloned());
                 if let Some(shared) = cached {
                     run_functional(k.as_ref(), &dims, mem, &mut rec);
-                    shared
+                    (shared, TraceSource::Shared)
                 } else {
                     let mut raw: Vec<RawBlockTrace> =
                         Vec::with_capacity(dims.num_blocks() as usize);
@@ -428,19 +457,21 @@ pub fn analyze_reference(
                     if let Some(s) = sig {
                         cache.insert(s, Arc::clone(&shared));
                     }
-                    shared
+                    (shared, TraceSource::Recorded)
                 }
             }
             NodeOp::HostToDevice { buf, data } => {
                 mem.upload_u8(*buf, data);
-                Arc::new(vec![transfer_trace(*buf, true, line_bytes)])
+                (Arc::new(vec![transfer_trace(*buf, true, line_bytes)]), TraceSource::Transfer)
             }
-            NodeOp::DeviceToHost { buf } => Arc::new(vec![transfer_trace(*buf, false, line_bytes)]),
+            NodeOp::DeviceToHost { buf } => {
+                (Arc::new(vec![transfer_trace(*buf, false, line_bytes)]), TraceSource::Transfer)
+            }
         };
         for (b, t) in traces.iter().enumerate() {
             builder.visit_block(BlockRef::new(id.0, b as u32), t);
         }
-        nodes[id.0 as usize] = Some(NodeTrace { blocks: traces });
+        nodes[id.0 as usize] = Some(NodeTrace { blocks: traces, source });
     }
 
     Ok(GraphTrace {

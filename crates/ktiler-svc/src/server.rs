@@ -5,21 +5,24 @@
 //! [`crate::Client`] path share the identical queue, single-flight table
 //! and cache.
 //!
-//! **Why an event loop.** The previous front-end spawned one thread per
-//! connection; at the multi-node scale this repo now targets (a gateway
-//! holding 10k client connections plus per-node fan-out), 10k idle
-//! connections would cost 10k stacks. Instead one thread owns a
-//! non-blocking listener and every non-blocking stream, and sweeps them:
-//! accept what's pending, read what's readable (each connection keeps its
-//! parser state in a [`FrameDecoder`] between sweeps), hand complete
-//! requests to the front-end, poll outstanding [`Ticket`]s, flush what's
-//! writable. Requests that compute ([`Dispatch::Pending`]) never block the
-//! loop — the service's worker pool computes them while the loop keeps
-//! sweeping — and responses are delivered strictly in request order per
-//! connection. With no `poll(2)` available (std-only, `forbid(unsafe)`),
-//! readiness is discovered by the sweep itself; an idle pass sleeps
-//! briefly so a quiet server costs near-zero CPU, and any progress keeps
-//! the loop hot.
+//! **Why an event loop.** One thread per connection would cost a stack
+//! per idle connection; a gateway holding 10k client connections would
+//! hold 10k stacks. Instead one thread owns a non-blocking listener and
+//! every non-blocking stream (each connection keeps its parser state in a
+//! [`FrameDecoder`] between passes). Requests that compute
+//! ([`Dispatch::Pending`]) never block the loop — the service's worker
+//! pool computes them while the loop serves other connections — and
+//! responses are delivered strictly in request order per connection.
+//!
+//! **Waking on readiness.** The loop blocks in `poll(2)` (the `netpoll`
+//! crate) on the listener, every connection that may still send, every
+//! connection with unflushed output, and a *doorbell*: a socket pair whose
+//! write end ([`Waker`]) is registered with each outstanding ticket. A
+//! worker or forwarder that fulfills a ticket rings it, as does
+//! [`Server::request_stop`], so a finished response is written at once.
+//! The poll timeout is the earliest pending deadline (a ticket's, a
+//! stalled frame's, a stuck write's), so an idle server sleeps until
+//! something happens and a busy one wakes only for work.
 //!
 //! **Misbehaving peers.** The loop distinguishes an *idle* connection (no
 //! bytes of a frame received — allowed to sit quietly forever) from a
@@ -37,34 +40,33 @@
 use std::collections::VecDeque;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use gpu_sim::SplitMix64;
+use netpoll::{PollFd, POLLERR, POLLHUP, POLLIN, POLLOUT};
 
-use crate::fault;
 use crate::key::CacheKey;
 use crate::proto::{
     read_frame, write_frame, DecodeEvent, FrameDecoder, Request, Response, MAX_REQUEST_FRAME,
     PROTO_VERSION,
 };
-use crate::service::{Service, SvcError, Ticket};
+use crate::service::{Cell, Service, SvcError, Ticket};
 
-/// Longest sleep of an idle sweep. Kept small — it bounds the latency a
-/// freshly arrived byte can see — and capped further by the tuning's
-/// `read_poll` so tests that shrink timeouts also shrink the sweep.
-const IDLE_SLEEP_CAP: Duration = Duration::from_millis(1);
+/// How long the listener sits out of the poll set after an accept fails
+/// for want of resources (`EMFILE`, `ENOBUFS`): the refused connection
+/// stays queued, so the listener stays readable and polling it again at
+/// once would spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Socket-level knobs of the TCP front-end. [`ServerTuning::default`] is
 /// right for production; tests shrink the timeouts to fail fast.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerTuning {
-    /// Upper bound on the idle sweep's sleep (historically the blocking
-    /// read timeout; the event loop keeps the name so callers and flags
-    /// are unchanged). Smaller means lower idle latency, more idle CPU.
-    pub read_poll: Duration,
     /// How long unflushed response bytes may sit without progress before
     /// the connection is dropped — a client that stops reading cannot pin
     /// buffer memory forever.
@@ -78,10 +80,46 @@ pub struct ServerTuning {
 impl Default for ServerTuning {
     fn default() -> Self {
         ServerTuning {
-            read_poll: Duration::from_millis(200),
             write_timeout: Duration::from_secs(10),
             stall_timeout: Duration::from_secs(10),
         }
+    }
+}
+
+/// The ringing end of an event loop's doorbell. Cheap to clone; every
+/// outstanding ticket holds one.
+#[derive(Clone)]
+pub(crate) struct Waker(Arc<UnixStream>);
+
+impl Waker {
+    /// Makes the loop's next (or current) `poll` return. Never blocks: a
+    /// full socket buffer means a wake is already pending, and a loop that
+    /// has exited needs none, so every error is ignored.
+    pub(crate) fn wake(&self) {
+        let _ = (&*self.0).write(&[1]);
+    }
+}
+
+/// The loop's end of the doorbell: readable while a wake is pending.
+struct Doorbell {
+    rx: UnixStream,
+    waker: Waker,
+}
+
+impl Doorbell {
+    fn new() -> io::Result<Self> {
+        let (rx, tx) = UnixStream::pair()?;
+        rx.set_nonblocking(true)?;
+        tx.set_nonblocking(true)?;
+        Ok(Doorbell { rx, waker: Waker(Arc::new(tx)) })
+    }
+
+    /// Consumes every pending ring. Called before the pass that checks
+    /// tickets, so a ring that lands after the check stays pending and
+    /// wakes the next `poll`.
+    fn drain(&self) {
+        let mut buf = [0u8; 64];
+        while matches!((&self.rx).read(&mut buf), Ok(n) if n > 0) {}
     }
 }
 
@@ -90,8 +128,8 @@ pub enum Dispatch {
     /// The response is known now; the loop queues it for writing.
     Ready(Response),
     /// The response is being computed elsewhere (a worker pool, a remote
-    /// node); the loop polls the ticket and writes the response when it
-    /// lands, without ever blocking on it.
+    /// node); the loop writes it when the ticket's fulfillment wakes it,
+    /// without ever blocking on it.
     Pending(Ticket),
     /// Like [`Dispatch::Pending`], but for verbs whose responses are not
     /// schedules ([`Ticket`] is typed to a [`ScheduleResponse`](crate::service::ScheduleResponse));
@@ -100,10 +138,10 @@ pub enum Dispatch {
     PendingRaw(ResponseTicket),
 }
 
-/// A poll-able slot for a raw [`Response`] computed off-loop — the untyped
-/// sibling of [`Ticket`].
+/// A slot for a raw [`Response`] computed off-loop — the untyped sibling
+/// of [`Ticket`].
 pub struct ResponseTicket {
-    cell: Arc<Mutex<Option<Response>>>,
+    cell: Arc<Cell<Response>>,
 }
 
 /// The fulfilling half of a [`ResponseTicket::pair`]. Dropping an
@@ -111,19 +149,19 @@ pub struct ResponseTicket {
 /// fulfills the ticket with a structured error — the waiting connection is
 /// always answered, never left hung.
 pub struct ResponseSink {
-    cell: Arc<Mutex<Option<Response>>>,
+    cell: Arc<Cell<Response>>,
 }
 
 impl ResponseTicket {
     /// An unfulfilled ticket and the sink that fulfills it.
     pub fn pair() -> (ResponseTicket, ResponseSink) {
-        let cell = Arc::new(Mutex::new(None));
+        let cell = Cell::new();
         (ResponseTicket { cell: Arc::clone(&cell) }, ResponseSink { cell })
     }
 
     /// Takes the response if one landed; `None` means still in flight.
     pub fn try_take(&mut self) -> Option<Response> {
-        fault::lock(&self.cell).take()
+        self.cell.take()
     }
 }
 
@@ -131,10 +169,7 @@ impl ResponseSink {
     /// Fulfills the paired ticket. First fulfillment wins; later calls
     /// (including the drop guard) are ignored.
     pub fn fulfill(&self, r: Response) {
-        let mut cell = fault::lock(&self.cell);
-        if cell.is_none() {
-            *cell = Some(r);
-        }
+        self.cell.fulfill(r);
     }
 }
 
@@ -179,7 +214,7 @@ impl FrontEnd for Service {
             Request::Sync => {
                 // A repair round talks to peers (possibly dead ones, each
                 // costing a timeout), so it runs on its own thread; the
-                // loop polls the raw ticket like any pending schedule.
+                // loop waits on the raw ticket like any pending schedule.
                 let (ticket, sink) = ResponseTicket::pair();
                 let client = self.client();
                 let spawned = std::thread::Builder::new().name("ktiler-svc-sync-now".into()).spawn(
@@ -214,6 +249,7 @@ pub struct Server<F: FrontEnd = Service> {
     front: Arc<F>,
     stop: Arc<AtomicBool>,
     live: Arc<AtomicUsize>,
+    waker: Waker,
     loop_thread: Option<JoinHandle<()>>,
 }
 
@@ -245,7 +281,8 @@ pub fn serve_with<A: ToSocketAddrs>(
 ///
 /// # Errors
 ///
-/// Any error from binding the listener or spawning the loop thread.
+/// Any error from binding the listener, creating the doorbell or spawning
+/// the loop thread.
 pub fn serve_front<F: FrontEnd, A: ToSocketAddrs>(
     addr: A,
     front: Arc<F>,
@@ -254,17 +291,26 @@ pub fn serve_front<F: FrontEnd, A: ToSocketAddrs>(
     let listener = TcpListener::bind(addr)?;
     listener.set_nonblocking(true)?;
     let local_addr = listener.local_addr()?;
+    let bell = Doorbell::new()?;
+    let waker = bell.waker.clone();
     let stop = Arc::new(AtomicBool::new(false));
     let live = Arc::new(AtomicUsize::new(0));
-    let loop_thread = {
-        let front = Arc::clone(&front);
-        let stop = Arc::clone(&stop);
-        let live = Arc::clone(&live);
-        std::thread::Builder::new()
-            .name("ktiler-svc-eventloop".into())
-            .spawn(move || EventLoop::new(listener, front, stop, live, tuning).run())?
+    let event_loop = EventLoop {
+        listener: Some(listener),
+        listener_ready: true,
+        accept_paused_until: None,
+        front: Arc::clone(&front),
+        stop: Arc::clone(&stop),
+        live: Arc::clone(&live),
+        tuning,
+        conns: Vec::new(),
+        bell,
+        fds: Vec::new(),
     };
-    Ok(Server { local_addr, front, stop, live, loop_thread: Some(loop_thread) })
+    let loop_thread = std::thread::Builder::new()
+        .name("ktiler-svc-eventloop".into())
+        .spawn(move || event_loop.run())?;
+    Ok(Server { local_addr, front, stop, live, waker, loop_thread: Some(loop_thread) })
 }
 
 impl<F: FrontEnd> Server<F> {
@@ -284,10 +330,11 @@ impl<F: FrontEnd> Server<F> {
         self.stop.load(Ordering::SeqCst)
     }
 
-    /// Requests a stop; the event loop notices within one sweep, serves
-    /// what's already in flight, and exits.
+    /// Requests a stop and wakes the event loop, which serves what's
+    /// already in flight and exits.
     pub fn request_stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
+        self.waker.wake();
     }
 
     /// Number of connections the event loop currently holds open.
@@ -322,14 +369,13 @@ impl<F: FrontEnd> Drop for Server<F> {
 enum Slot {
     /// Encoded response payload, ready to frame and write.
     Done(Vec<u8>),
-    /// Still being computed; polled each sweep.
+    /// Still being computed; its fulfillment rings the doorbell.
     Wait(Ticket),
-    /// A raw (non-schedule) response still being computed; polled each
-    /// sweep.
+    /// A raw (non-schedule) response still being computed.
     WaitRaw(ResponseTicket),
 }
 
-/// Per-connection state between sweeps.
+/// Per-connection state between passes.
 struct Conn {
     stream: TcpStream,
     dec: FrameDecoder,
@@ -349,7 +395,10 @@ struct Conn {
     close_after_flush: bool,
     /// The read side is finished (EOF or lost framing); stop reading.
     read_closed: bool,
-    /// Remove this connection at the end of the sweep.
+    /// The last `poll` reported input, a hang-up or an error (a fresh
+    /// connection starts readable: its first request may already be here).
+    readable: bool,
+    /// Remove this connection at the end of the pass.
     dead: bool,
 }
 
@@ -365,6 +414,7 @@ impl Conn {
             write_since: None,
             close_after_flush: false,
             read_closed: false,
+            readable: true,
             dead: false,
         }
     }
@@ -382,31 +432,55 @@ impl Conn {
             self.write_since = Some(Instant::now());
         }
     }
+
+    /// The `poll` events this connection waits for: input while the read
+    /// side is open, writability while output is unflushed. Zero means
+    /// "leave it out" — a half-closed peer would otherwise report
+    /// `POLLHUP` on every call.
+    fn interest(&self) -> i16 {
+        let mut events = 0;
+        if !self.read_closed {
+            events |= POLLIN;
+        }
+        if self.out_pos < self.out.len() {
+            events |= POLLOUT;
+        }
+        events
+    }
+
+    /// The earliest instant at which [`EventLoop::enforce_deadlines`] or
+    /// the head ticket's deadline needs the loop awake.
+    fn next_deadline(&self, tuning: &ServerTuning) -> Option<Instant> {
+        let head = match self.pending.front() {
+            Some(Slot::Wait(ticket)) => ticket.deadline(),
+            _ => None,
+        };
+        let stall = self.mid_frame_since.map(|t| t + tuning.stall_timeout);
+        let write = self.write_since.filter(|_| self.out_pos < self.out.len());
+        [head, stall, write.map(|t| t + tuning.write_timeout)].into_iter().flatten().min()
+    }
 }
 
-/// The sweep loop: owns the listener and every connection.
+/// The event loop: owns the listener, the doorbell and every connection.
 struct EventLoop<F: FrontEnd> {
     listener: Option<TcpListener>,
+    /// The last `poll` reported a connection to accept.
+    listener_ready: bool,
+    /// Set after a resource-starved accept; see [`ACCEPT_BACKOFF`].
+    accept_paused_until: Option<Instant>,
     front: Arc<F>,
     stop: Arc<AtomicBool>,
     live: Arc<AtomicUsize>,
     tuning: ServerTuning,
     conns: Vec<Conn>,
+    bell: Doorbell,
+    /// The poll set, rebuilt before every wait: the doorbell, the
+    /// listener, then one entry per connection in `conns` order.
+    fds: Vec<PollFd>,
 }
 
 impl<F: FrontEnd> EventLoop<F> {
-    fn new(
-        listener: TcpListener,
-        front: Arc<F>,
-        stop: Arc<AtomicBool>,
-        live: Arc<AtomicUsize>,
-        tuning: ServerTuning,
-    ) -> Self {
-        EventLoop { listener: Some(listener), front, stop, live, tuning, conns: Vec::new() }
-    }
-
     fn run(mut self) {
-        let idle_sleep = self.tuning.read_poll.min(IDLE_SLEEP_CAP);
         let mut buf = [0u8; 8192];
         loop {
             let stopping = self.stop.load(Ordering::SeqCst);
@@ -422,29 +496,77 @@ impl<F: FrontEnd> EventLoop<F> {
                     }
                 }
             }
-            let mut progress = false;
-            progress |= self.accept_pending();
-            if !stopping {
-                progress |= self.pump_reads(&mut buf);
+            if std::mem::take(&mut self.listener_ready) {
+                self.accept_pending();
             }
-            progress |= self.promote_ready();
-            progress |= self.flush_writes();
+            if !stopping {
+                self.pump_reads(&mut buf);
+            }
+            self.promote_ready();
+            self.flush_writes();
             self.enforce_deadlines();
             self.conns.retain(|c| !c.dead);
             self.live.store(self.conns.len(), Ordering::SeqCst);
             if stopping && self.conns.is_empty() {
                 return;
             }
-            if !progress {
-                std::thread::sleep(idle_sleep);
+            // A SHUTDOWN read in this pass raised the flag: go round once
+            // more to enter drain mode instead of sleeping first.
+            if !stopping && self.stop.load(Ordering::SeqCst) {
+                continue;
             }
+            self.wait();
+        }
+    }
+
+    /// Blocks until the doorbell rings, a watched socket is ready or the
+    /// earliest deadline is due, then records what is ready for the next
+    /// pass.
+    fn wait(&mut self) {
+        let now = Instant::now();
+        let mut due = None;
+        self.fds.clear();
+        self.fds.push(PollFd::new(self.bell.rx.as_raw_fd(), POLLIN));
+        if self.accept_paused_until.is_some_and(|t| t <= now) {
+            self.accept_paused_until = None;
+        }
+        let listener_fd = match (&self.listener, self.accept_paused_until) {
+            (Some(l), None) => l.as_raw_fd(),
+            (Some(_), Some(t)) => {
+                due = Some(t);
+                -1
+            }
+            (None, _) => -1,
+        };
+        self.fds.push(PollFd::new(listener_fd, POLLIN));
+        for c in &self.conns {
+            let events = c.interest();
+            let fd = if events == 0 { -1 } else { c.stream.as_raw_fd() };
+            self.fds.push(PollFd::new(fd, events));
+            due = due.into_iter().chain(c.next_deadline(&self.tuning)).min();
+        }
+        let timeout = due.map(|d: Instant| d.saturating_duration_since(now));
+        if netpoll::poll(&mut self.fds, timeout).is_err() {
+            // poll fails only for want of kernel memory; treat everything
+            // as ready, which degrades this pass to a full sweep of
+            // non-blocking calls and loses nothing.
+            for p in &mut self.fds {
+                p.revents = p.events;
+            }
+        }
+        let mut ready = self.fds.iter().map(|p| p.revents & (POLLIN | POLLHUP | POLLERR) != 0);
+        if ready.next() == Some(true) {
+            self.bell.drain();
+        }
+        self.listener_ready = ready.next() == Some(true);
+        for (c, r) in self.conns.iter_mut().zip(ready) {
+            c.readable = r;
         }
     }
 
     /// Accepts every connection the listener has queued.
-    fn accept_pending(&mut self) -> bool {
-        let Some(listener) = &self.listener else { return false };
-        let mut progress = false;
+    fn accept_pending(&mut self) {
+        let Some(listener) = &self.listener else { return };
         loop {
             match listener.accept() {
                 Ok((stream, _peer)) => {
@@ -453,24 +575,34 @@ impl<F: FrontEnd> EventLoop<F> {
                     }
                     let _ = stream.set_nodelay(true);
                     self.conns.push(Conn::new(stream));
-                    progress = true;
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return progress,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                // Transient accept failures (EMFILE, aborted handshake):
-                // the connection is lost, the listener is fine.
-                Err(_) => return progress,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                // A peer that gave up during the handshake costs nothing.
+                Err(e)
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::Interrupted | io::ErrorKind::ConnectionAborted
+                    ) =>
+                {
+                    continue
+                }
+                // Out of descriptors or buffers: the connection waits in
+                // the backlog until the backoff ends.
+                Err(_) => {
+                    self.accept_paused_until = Some(Instant::now() + ACCEPT_BACKOFF);
+                    return;
+                }
             }
         }
     }
 
-    /// Reads whatever every readable connection has, feeding decoders and
+    /// Reads whatever every ready connection has, feeding decoders and
     /// dispatching completed requests.
-    fn pump_reads(&mut self, buf: &mut [u8]) -> bool {
-        let mut progress = false;
+    fn pump_reads(&mut self, buf: &mut [u8]) {
         let mut events = Vec::new();
         for i in 0..self.conns.len() {
-            if self.conns[i].dead || self.conns[i].read_closed {
+            let c = &mut self.conns[i];
+            if !std::mem::take(&mut c.readable) || c.dead || c.read_closed {
                 continue;
             }
             loop {
@@ -490,7 +622,6 @@ impl<F: FrontEnd> EventLoop<F> {
                         break;
                     }
                     Ok(n) => {
-                        progress = true;
                         if self.conns[i].dec.feed(&buf[..n], &mut events).is_err() {
                             // Framing lost; no reliable way to answer.
                             self.conns[i].dead = true;
@@ -518,7 +649,6 @@ impl<F: FrontEnd> EventLoop<F> {
                 c.mid_frame_since = None;
             }
         }
-        progress
     }
 
     /// Turns one decoder event of connection `i` into queued work.
@@ -547,10 +677,17 @@ impl<F: FrontEnd> EventLoop<F> {
                     self.stop.store(true, Ordering::SeqCst);
                 }
                 Ok(req) => {
+                    let waker = &self.bell.waker;
                     let slot = match self.front.handle(req) {
                         Dispatch::Ready(resp) => Slot::Done(resp.encode()),
-                        Dispatch::Pending(ticket) => Slot::Wait(ticket),
-                        Dispatch::PendingRaw(ticket) => Slot::WaitRaw(ticket),
+                        Dispatch::Pending(ticket) => {
+                            ticket.set_waker(waker);
+                            Slot::Wait(ticket)
+                        }
+                        Dispatch::PendingRaw(ticket) => {
+                            ticket.cell.set_waker(waker);
+                            Slot::WaitRaw(ticket)
+                        }
                     };
                     self.conns[i].pending.push_back(slot);
                 }
@@ -570,8 +707,7 @@ impl<F: FrontEnd> EventLoop<F> {
 
     /// Moves completed pending slots into each connection's write buffer,
     /// preserving per-connection request order.
-    fn promote_ready(&mut self) -> bool {
-        let mut progress = false;
+    fn promote_ready(&mut self) {
         for c in &mut self.conns {
             if c.dead {
                 continue;
@@ -591,15 +727,12 @@ impl<F: FrontEnd> EventLoop<F> {
                 };
                 c.pending.pop_front();
                 c.queue_response(&payload);
-                progress = true;
             }
         }
-        progress
     }
 
     /// Writes whatever each connection's peer will take.
-    fn flush_writes(&mut self) -> bool {
-        let mut progress = false;
+    fn flush_writes(&mut self) {
         for c in &mut self.conns {
             if c.dead || c.out_pos >= c.out.len() {
                 continue;
@@ -613,7 +746,6 @@ impl<F: FrontEnd> EventLoop<F> {
                     Ok(n) => {
                         c.out_pos += n;
                         c.write_since = Some(Instant::now());
-                        progress = true;
                         if c.out_pos >= c.out.len() {
                             c.out.clear();
                             c.out_pos = 0;
@@ -633,7 +765,6 @@ impl<F: FrontEnd> EventLoop<F> {
                 }
             }
         }
-        progress
     }
 
     /// Drops stalled readers and stuck writers.

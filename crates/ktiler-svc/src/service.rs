@@ -48,9 +48,10 @@ use crate::cache::{CacheProbe, ScheduleCache, StoreOutcome};
 use crate::fault::{self, points, FaultInjector};
 use crate::key::{schedule_cache_key, CacheKey, KeyHasher};
 use crate::metrics::{bump, Metrics};
+use crate::server::Waker;
 
-/// How often the supervisor scans the pool for crashed workers.
-const SUPERVISOR_POLL: Duration = Duration::from_millis(10);
+/// How long the supervisor waits before retrying a respawn the OS refused.
+const RESPAWN_RETRY: Duration = Duration::from_millis(10);
 
 /// The workload a schedule is requested for.
 ///
@@ -418,37 +419,78 @@ struct Prepared {
     key: CacheKey,
 }
 
-/// One waiter's slot for a response.
-struct Cell {
-    state: Mutex<Option<Result<ScheduleResponse, SvcError>>>,
+/// One waiter's slot for a response: the value once it lands, and the
+/// event loop to wake when it does. Shared by [`Ticket`] (schedules) and
+/// [`ResponseTicket`](crate::server::ResponseTicket) (raw responses).
+pub(crate) struct Cell<T> {
+    state: Mutex<CellState<T>>,
     cv: Condvar,
 }
 
-impl Cell {
-    fn new() -> Arc<Self> {
-        Arc::new(Cell { state: Mutex::new(None), cv: Condvar::new() })
+struct CellState<T> {
+    value: Option<T>,
+    /// Rung once when the value lands; see [`Cell::set_waker`].
+    waker: Option<Waker>,
+}
+
+impl<T> Cell<T> {
+    pub(crate) fn new() -> Arc<Self> {
+        Arc::new(Cell {
+            state: Mutex::new(CellState { value: None, waker: None }),
+            cv: Condvar::new(),
+        })
     }
 
-    fn fulfill(&self, r: Result<ScheduleResponse, SvcError>) {
-        let mut st = fault::lock(&self.state);
-        if st.is_none() {
-            *st = Some(r);
+    /// Stores the value unless one is already there, then wakes the
+    /// registered event loop. The value is set and the waker taken under
+    /// one lock, the same lock [`Cell::set_waker`] registers under, so a
+    /// wake is never lost: either the registration sees the value, or the
+    /// fulfillment sees the waker.
+    pub(crate) fn fulfill(&self, v: T) {
+        let waker = {
+            let mut st = fault::lock(&self.state);
+            if st.value.is_some() {
+                return;
+            }
+            st.value = Some(v);
             self.cv.notify_all();
+            st.waker.take()
+        };
+        if let Some(w) = waker {
+            w.wake();
         }
     }
 
-    fn wait(&self, deadline: Option<Instant>) -> Result<ScheduleResponse, SvcError> {
+    /// Takes the value if one landed.
+    pub(crate) fn take(&self) -> Option<T> {
+        fault::lock(&self.state).value.take()
+    }
+
+    /// Asks for `waker` to be rung when the value lands — at once, if it
+    /// already has.
+    pub(crate) fn set_waker(&self, waker: &Waker) {
+        let mut st = fault::lock(&self.state);
+        if st.value.is_some() {
+            drop(st);
+            waker.wake();
+        } else {
+            st.waker = Some(waker.clone());
+        }
+    }
+
+    /// Blocks until the value lands; `None` once `deadline` passes first.
+    fn wait(&self, deadline: Option<Instant>) -> Option<T> {
         let mut st = fault::lock(&self.state);
         loop {
-            if let Some(r) = st.take() {
-                return r;
+            if let Some(v) = st.value.take() {
+                return Some(v);
             }
             match deadline {
                 None => st = fault::cv_wait(&self.cv, st),
                 Some(d) => {
                     let now = Instant::now();
                     if now >= d {
-                        return Err(SvcError::DeadlineExceeded);
+                        return None;
                     }
                     let (guard, _) = fault::cv_wait_timeout(&self.cv, st, d - now);
                     st = guard;
@@ -458,11 +500,15 @@ impl Cell {
     }
 }
 
+/// What a schedule waiter receives.
+type Reply = Result<ScheduleResponse, SvcError>;
+
 /// A claim on a response being computed: handed out by [`Client::submit`],
-/// polled without blocking by an event loop ([`Ticket::try_take`]) or
-/// awaited by a thread with nothing better to do ([`Ticket::wait`]).
+/// taken without blocking by an event loop ([`Ticket::try_take`], woken
+/// when the response lands) or awaited by a thread with nothing better to
+/// do ([`Ticket::wait`]).
 pub struct Ticket {
-    cell: Arc<Cell>,
+    cell: Arc<Cell<Reply>>,
     deadline: Option<Instant>,
 }
 
@@ -470,7 +516,7 @@ pub struct Ticket {
 /// requests from its own worker threads (the gateway) hands the `Ticket`
 /// to the event loop and keeps the sink.
 pub struct TicketSink {
-    cell: Arc<Cell>,
+    cell: Arc<Cell<Reply>>,
 }
 
 impl Ticket {
@@ -485,11 +531,8 @@ impl Ticket {
     /// [`SvcError::DeadlineExceeded`] — the poller never waits forever on
     /// work that can no longer matter.
     pub fn try_take(&mut self) -> Option<Result<ScheduleResponse, SvcError>> {
-        {
-            let mut st = fault::lock(&self.cell.state);
-            if let Some(r) = st.take() {
-                return Some(r);
-            }
+        if let Some(r) = self.cell.take() {
+            return Some(r);
         }
         if self.deadline.is_some_and(|d| Instant::now() >= d) {
             return Some(Err(SvcError::DeadlineExceeded));
@@ -503,7 +546,17 @@ impl Ticket {
     ///
     /// Whatever the computation produced, or [`SvcError::DeadlineExceeded`].
     pub fn wait(self) -> Result<ScheduleResponse, SvcError> {
-        self.cell.wait(self.deadline)
+        self.cell.wait(self.deadline).unwrap_or(Err(SvcError::DeadlineExceeded))
+    }
+
+    /// When an unfulfilled ticket turns into [`SvcError::DeadlineExceeded`].
+    pub(crate) fn deadline(&self) -> Option<Instant> {
+        self.deadline
+    }
+
+    /// See [`Cell::set_waker`].
+    pub(crate) fn set_waker(&self, waker: &Waker) {
+        self.cell.set_waker(waker);
     }
 }
 
@@ -518,12 +571,15 @@ impl TicketSink {
 struct Job {
     req: ScheduleRequest,
     deadline: Option<Instant>,
-    cell: Arc<Cell>,
+    cell: Arc<Cell<Reply>>,
 }
 
 struct QueueState {
     jobs: VecDeque<Job>,
     shutdown: bool,
+    /// Ids of workers whose loop has ended (a crash, or shutdown), pushed
+    /// by their drop guard for the supervisor.
+    exited: Vec<usize>,
 }
 
 struct Inner {
@@ -538,8 +594,11 @@ struct Inner {
     /// `queue_cv`, an enqueue's `notify_one` could wake the sync thread
     /// instead of a worker and leave the job unserved.
     sync_cv: Condvar,
+    /// The supervisor's condvar (same mutex), notified by every exiting
+    /// worker and by shutdown.
+    supervisor_cv: Condvar,
     /// Single-flight table: flight key → followers waiting on the leader.
-    inflight: Mutex<HashMap<CacheKey, Vec<Arc<Cell>>>>,
+    inflight: Mutex<HashMap<CacheKey, Vec<Arc<Cell<Reply>>>>>,
     /// Workload memo: flight key → prepared workload.
     memo: Mutex<HashMap<CacheKey, Arc<Prepared>>>,
     /// Worker threads currently running their loop; decremented on any
@@ -587,9 +646,14 @@ impl Service {
             cache,
             metrics,
             faults,
-            queue: Mutex::new(QueueState { jobs: VecDeque::new(), shutdown: false }),
+            queue: Mutex::new(QueueState {
+                jobs: VecDeque::new(),
+                shutdown: false,
+                exited: Vec::new(),
+            }),
             queue_cv: Condvar::new(),
             sync_cv: Condvar::new(),
+            supervisor_cv: Condvar::new(),
             inflight: Mutex::new(HashMap::new()),
             memo: Mutex::new(HashMap::new()),
             live_workers: AtomicUsize::new(0),
@@ -659,6 +723,7 @@ impl Service {
             q.shutdown = true;
             self.inner.queue_cv.notify_all();
             self.inner.sync_cv.notify_all();
+            self.inner.supervisor_cv.notify_all();
         }
         if let Some(h) = fault::lock(&self.supervisor).take() {
             let _ = h.join();
@@ -697,33 +762,42 @@ fn spawn_worker(inner: &Arc<Inner>, id: usize) -> std::io::Result<JoinHandle<()>
     let inner = Arc::clone(inner);
     std::thread::Builder::new()
         .name(format!("ktiler-svc-worker-{id}"))
-        .spawn(move || inner.worker_loop())
+        .spawn(move || inner.worker_loop(id))
 }
 
 /// Keeps the pool at full strength: any worker that exits while the
 /// service is running (i.e. crashed — a clean exit only happens at
-/// shutdown) is joined and replaced in place.
+/// shutdown) is joined and replaced in place. Sleeps on its condvar until
+/// a worker's drop guard reports an exit, so an idle pool costs nothing.
 fn supervisor_loop(inner: &Arc<Inner>, mut handles: Vec<JoinHandle<()>>) {
+    let mut q = fault::lock(&inner.queue);
     loop {
-        if fault::lock(&inner.queue).shutdown {
+        if q.shutdown {
+            drop(q);
             for h in handles {
                 let _ = h.join();
             }
             return;
         }
-        for (id, slot) in handles.iter_mut().enumerate() {
-            if !slot.is_finished() {
-                continue;
-            }
-            // Spawn the replacement first so the pool shrinks for at most
-            // one poll interval; if the OS refuses, retry next tick.
-            if let Ok(fresh) = spawn_worker(inner, id) {
-                let crashed = std::mem::replace(slot, fresh);
-                let _ = crashed.join();
+        let Some(id) = q.exited.pop() else {
+            q = fault::cv_wait(&inner.supervisor_cv, q);
+            continue;
+        };
+        drop(q);
+        // Spawn the replacement first so the pool shrinks only while the
+        // crashed thread finishes unwinding; if the OS refuses, retry.
+        match spawn_worker(inner, id) {
+            Ok(fresh) => {
+                let _ = std::mem::replace(&mut handles[id], fresh).join();
                 bump(&inner.metrics.workers_respawned);
+                q = fault::lock(&inner.queue);
+            }
+            Err(_) => {
+                q = fault::lock(&inner.queue);
+                q.exited.push(id);
+                q = fault::cv_wait_timeout(&inner.supervisor_cv, q, RESPAWN_RETRY).0;
             }
         }
-        std::thread::sleep(SUPERVISOR_POLL);
     }
 }
 
@@ -748,8 +822,9 @@ impl Client {
 
     /// Enqueues a schedule request without waiting for its result — the
     /// non-blocking half of [`Client::schedule`], for callers (the event
-    /// loop) that multiplex many requests on one thread and poll the
-    /// returned [`Ticket`] instead of parking on it.
+    /// loop) that multiplex many requests on one thread and take the
+    /// returned [`Ticket`]'s response when it lands instead of parking on
+    /// it.
     ///
     /// # Errors
     ///
@@ -813,17 +888,21 @@ impl Client {
 }
 
 impl Inner {
-    fn worker_loop(&self) {
+    fn worker_loop(&self, id: usize) {
         // Live-worker accounting that survives a panic unwind: the guard's
-        // Drop runs whether the loop returns or unwinds.
-        struct Live<'a>(&'a AtomicUsize);
+        // Drop runs whether the loop returns or unwinds, and reports the
+        // exit to the supervisor.
+        struct Live<'a>(&'a Inner, usize);
         impl Drop for Live<'_> {
             fn drop(&mut self) {
-                self.0.fetch_sub(1, Ordering::SeqCst);
+                let Live(inner, id) = *self;
+                inner.live_workers.fetch_sub(1, Ordering::SeqCst);
+                fault::lock(&inner.queue).exited.push(id);
+                inner.supervisor_cv.notify_one();
             }
         }
         self.live_workers.fetch_add(1, Ordering::SeqCst);
-        let _live = Live(&self.live_workers);
+        let _live = Live(self, id);
         loop {
             // Wait until work is queued (or the queue drained at
             // shutdown) — without popping yet.

@@ -287,7 +287,6 @@ fn stalled_client_is_cut_off_and_the_service_stays_live() {
     let dir = temp_dir("stall");
     let svc = Arc::new(Service::start(ServiceConfig::new(&dir)).unwrap());
     let tuning = ServerTuning {
-        read_poll: Duration::from_millis(50),
         write_timeout: Duration::from_secs(2),
         stall_timeout: Duration::from_millis(300),
     };

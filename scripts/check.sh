@@ -45,6 +45,17 @@ if [[ "$GATE_FAIL" -ne 0 ]]; then
     exit 1
 fi
 
+echo "== unsafe gate (crates/ outside netpoll) =="
+# The workspace's one FFI call, poll(2), lives in crates/netpoll; every
+# other crate stays safe Rust (ktiler-svc and ktiler-gateway also carry
+# #![forbid(unsafe_code)]). The benchmark under benchmark/ keeps its own.
+UNSAFE_HITS=$(grep -rnw --include='*.rs' 'unsafe' crates | grep -v '^crates/netpoll/' || true)
+if [[ -n "$UNSAFE_HITS" ]]; then
+    echo "$UNSAFE_HITS"
+    echo "error: 'unsafe' outside crates/netpoll" >&2
+    exit 1
+fi
+
 echo "== containment gate (ktiler-svc non-test sources) =="
 # The service survives injected panics only because every lock goes
 # through the poison-recovering helpers in the fault module and nothing
@@ -317,34 +328,13 @@ for pid_var in NODE0_PID NODE1_PID; do
     printf -v "$pid_var" ''
 done
 
-echo "== bench_svc: smoke run + committed-results gate =="
-# Smoke scale: the binary spawns its own 2-node ring + gateway, drives
-# 200 connections with a mid-run node kill, and exits non-zero on any
-# client-visible error or byte mismatch against the single-node
-# reference.
-SVC_JSON=$(mktemp /tmp/bench_svc_smoke.XXXXXX.json)
-SVC_WORK=$(mktemp -d /tmp/bench_svc_work.XXXXXX)
-trap 'rm -f "$ZOO_JSON" "$SVC_JSON"; rm -rf "$SVC_DIR" "$MN_DIR" "$SVC_WORK";
-      for p in "${SERVE_PID:-}" "${NODE0_PID:-}" "${NODE1_PID:-}" "${GW_PID:-}"; do
-          [[ -n "$p" ]] && kill "$p" 2>/dev/null || true
-      done' EXIT
-target/release/bench_svc --small --out "$SVC_JSON" --work-dir "$SVC_WORK" >/dev/null
-# Committed full-scale results: a full (not --small) run against a
-# multi-node ring with the mid-bench node kill, zero client-visible
-# errors, every response byte-identical, a warm-key hit rate >= 0.95,
-# and the tail quantiles present.
-for check in '"small": false' '"killed_node": true' '"client_errors": 0' \
-             '"all_match": true' '"p50_us"' '"p99_us"' '"p999_us"'; do
-    if ! grep -qF "$check" results/BENCH_svc.json; then
-        echo "error: committed BENCH_svc.json check failed: expected $check" >&2
-        exit 1
-    fi
-done
-WARM=$(awk -F': ' '/"warm_hit_rate"/ { gsub(/,/, "", $2); print $2 }' results/BENCH_svc.json)
-if ! awk -v w="$WARM" 'BEGIN { exit !(w >= 0.95) }'; then
-    echo "error: committed BENCH_svc.json warm_hit_rate = ${WARM:-missing} (< 0.95)" >&2
-    exit 1
-fi
+echo "== event loop: 10k idle connections + idle wake-ups (release) =="
+# One ktiler_serve child holds 10,000 idle connections on its single
+# event-loop thread (the test aborts after 100 connections if the node
+# grew a thread), answers PING on a sample of them and a schedule HIT on
+# a fresh one, each within 1 s; an idle node makes at most 10 voluntary
+# context switches in 2 s.
+cargo test --release -p bench --test event_loop_connections -q "${OFFLINE[@]}"
 
 echo "== crash-recovery smoke (SIGKILL mid-store -> anti-entropy heal) =="
 # The durability + anti-entropy story live (DESIGN.md §16): warm node A;
@@ -354,8 +344,8 @@ echo "== crash-recovery smoke (SIGKILL mid-store -> anti-entropy heal) =="
 # anti-entropy reaching a byte-identical copy with zero client traffic,
 # then a plain local HIT.
 CR_DIR=$(mktemp -d /tmp/ktiler_crash_smoke.XXXXXX)
-trap 'rm -f "$ZOO_JSON" "$SVC_JSON";
-      rm -rf "$SVC_DIR" "$MN_DIR" "$SVC_WORK" "$CR_DIR";
+trap 'rm -f "$ZOO_JSON";
+      rm -rf "$SVC_DIR" "$MN_DIR" "$CR_DIR";
       for p in "${SERVE_PID:-}" "${NODE0_PID:-}" "${NODE1_PID:-}" "${GW_PID:-}" \
                "${CR_A_PID:-}" "${CR_B_PID:-}" "${CR_CLIENT_PID:-}"; do
           [[ -n "$p" ]] && kill -9 "$p" 2>/dev/null || true
