@@ -9,11 +9,15 @@
 //!
 //! **Trust model.** An artifact on disk is untrusted input — it may be
 //! truncated, hand-edited, produced by an older binary whose tiler had a
-//! bug, or simply corrupted. Every load therefore re-runs the full
-//! [`ktiler::verify_schedule`] pass against the *current* request's graph,
-//! trace and tiling parameters; anything short of a clean report degrades
-//! to a cache miss (and a recompute that replaces the bad artifact),
-//! never to a bad schedule.
+//! bug, or simply corrupted. [`ScheduleCache::probe`] therefore runs the
+//! full [`ktiler::verify_schedule`] pass against the *current* request's
+//! graph, trace and tiling parameters; anything short of a clean report
+//! degrades to a cache miss (and a recompute that replaces the bad
+//! artifact), never to a bad schedule. The service probes each artifact
+//! once per process: it keeps the exact bytes it verified in memory and
+//! serves a later read only if the file still holds those bytes, compared
+//! byte for byte (see [`crate::service`]). Any other content — a changed,
+//! swapped or missing file — goes through the probe again.
 //!
 //! **Quarantine.** A bad artifact is evidence — of bit rot, of a tiler
 //! bug, of operator error — so instead of silently overwriting it, the
@@ -231,11 +235,12 @@ impl ScheduleCache {
         CacheProbe::Hit { text, schedule }
     }
 
-    /// Loads the raw artifact text of `key`, **without** verification —
-    /// this is the `FETCH` path serving a peer's read-through fill. The
-    /// fetching node re-verifies the text against its own request context
-    /// before serving or storing it, so verification here would only
-    /// duplicate work this node has no graph/trace context for anyway.
+    /// Loads the raw artifact text of `key`, **without** verification.
+    /// Two callers: the `FETCH` path serving a peer's read-through fill
+    /// (the fetching node verifies the text against its own request
+    /// context before serving or storing it), and the service's warm HIT,
+    /// which serves the text only if it equals bytes this process has
+    /// already verified.
     pub fn load_text(&self, key: &CacheKey) -> Option<String> {
         std::fs::read_to_string(self.path_of(key)).ok()
     }

@@ -9,9 +9,11 @@
 //! no request metadata), so it is stable across processes and machines.
 //!
 //! The hash is two independent FNV-1a lanes (128 bits total). FNV is not
-//! cryptographic; the cache is a performance artifact, not a trust
-//! boundary, and every artifact is re-verified on load anyway (see
-//! [`crate::cache`]).
+//! cryptographic, and nothing relies on it being so: the cache is a
+//! performance artifact, not a trust boundary. Each process fully verifies
+//! an artifact before serving it, then serves it again only while the file
+//! holds those exact bytes, compared byte for byte rather than by hash
+//! (see [`crate::cache`]).
 
 use std::fmt;
 use std::str::FromStr;

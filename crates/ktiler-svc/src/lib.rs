@@ -8,8 +8,8 @@
 //! service that exploits exactly that:
 //!
 //! * [`key`] — the content-addressed [`CacheKey`] over the tiler's inputs;
-//! * [`cache`] — the on-disk artifact store, re-verified on every load
-//!   ([`ScheduleCache`]);
+//! * [`cache`] — the on-disk artifact store ([`ScheduleCache`]); each
+//!   artifact is verified once per process, then exact-byte checked;
 //! * [`service`] — the worker pool, bounded queue with shedding, per-request
 //!   deadlines and single-flight deduplication ([`Service`] / [`Client`]);
 //! * [`metrics`] — lock-free counters and latency histograms ([`Metrics`]);
@@ -34,6 +34,7 @@
 pub mod cache;
 pub mod fault;
 pub mod key;
+mod lru;
 pub mod metrics;
 pub mod proto;
 pub mod server;

@@ -79,7 +79,9 @@ impl LatencyHistogram {
 /// Counter semantics (all monotone):
 ///
 /// * `requests` — schedule requests accepted into the queue.
-/// * `cache_hits` — requests answered from a verified on-disk artifact.
+/// * `cache_hits` — requests answered from a verified on-disk artifact
+///   (verified on this read, or byte-equal to the copy this process
+///   verified earlier).
 /// * `cache_misses` — requests that found no artifact and computed one.
 /// * `verify_failures` — artifacts that failed parse or verification on
 ///   load and were transparently recomputed (each also counts the request
@@ -170,7 +172,8 @@ pub struct Metrics {
     pub analyze_latency: LatencyHistogram,
     /// Latency of the tiling computation.
     pub tile_latency: LatencyHistogram,
-    /// Latency of artifact load + verify.
+    /// Latency of artifact load + verify, or, on a warm HIT, of load +
+    /// byte compare with the verified copy.
     pub cache_load_latency: LatencyHistogram,
     /// End-to-end pipeline latency (leader's view, excluding queueing).
     pub total_latency: LatencyHistogram,

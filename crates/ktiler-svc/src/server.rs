@@ -40,7 +40,7 @@
 use std::collections::VecDeque;
 use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::os::fd::AsRawFd;
+use std::os::fd::{AsFd, AsRawFd};
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -62,6 +62,12 @@ use crate::service::{Cell, Service, SvcError, Ticket};
 /// stays queued, so the listener stays readable and polling it again at
 /// once would spin.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
+
+/// The listener's accept backlog. `bind` alone queues 128 connections;
+/// a burst of connects faster than one loop pass overflows that, and each
+/// dropped SYN stalls its client for a second. Linux caps this at
+/// `net.core.somaxconn`.
+const LISTEN_BACKLOG: i32 = 4096;
 
 /// Socket-level knobs of the TCP front-end. [`ServerTuning::default`] is
 /// right for production; tests shrink the timeouts to fail fast.
@@ -289,6 +295,7 @@ pub fn serve_front<F: FrontEnd, A: ToSocketAddrs>(
     tuning: ServerTuning,
 ) -> io::Result<Server<F>> {
     let listener = TcpListener::bind(addr)?;
+    netpoll::listen(listener.as_fd(), LISTEN_BACKLOG)?;
     listener.set_nonblocking(true)?;
     let local_addr = listener.local_addr()?;
     let bell = Doorbell::new()?;

@@ -18,6 +18,11 @@
 //!   point) that arrive while one is being computed attach to that
 //!   computation instead of starting their own; N concurrent identical
 //!   requests run the pipeline exactly once.
+//! * **Verified once per process** — a bounded in-memory index maps each
+//!   request's flight key to the artifact bytes this process has verified
+//!   against its own graph and trace. A warm HIT reads the artifact and
+//!   serves it if the bytes equal the indexed copy: no analysis, parse or
+//!   re-verification. Anything else falls through to the full pipeline.
 //!
 //! Failure shape (see `DESIGN.md` §12 and the [`crate::fault`] module):
 //! workers run each job under `catch_unwind`, so a panic becomes a
@@ -47,11 +52,18 @@ use ktiler::{
 use crate::cache::{CacheProbe, ScheduleCache, StoreOutcome};
 use crate::fault::{self, points, FaultInjector};
 use crate::key::{schedule_cache_key, CacheKey, KeyHasher};
+use crate::lru::Lru;
 use crate::metrics::{bump, Metrics};
 use crate::server::Waker;
 
 /// How long the supervisor waits before retrying a respawn the OS refused.
 const RESPAWN_RETRY: Duration = Duration::from_millis(10);
+
+/// Entries in the verified index (flight key → verified artifact). An
+/// entry holds one artifact's bytes, ~1–30 KB for the served workloads,
+/// so a full index stays in the tens of megabytes; an evicted key costs
+/// one full verification on its next read.
+const VERIFIED_INDEX_CAPACITY: usize = 1024;
 
 /// The workload a schedule is requested for.
 ///
@@ -364,9 +376,10 @@ pub struct ServiceConfig {
     pub workers: usize,
     /// Queue capacity; a submit beyond it sheds.
     pub queue_capacity: usize,
-    /// Entries kept in the in-memory workload memo (analyzed + calibrated
-    /// workloads). The memo is cleared wholesale when full — crude, but
-    /// bounded, and the on-disk schedule cache carries the durable state.
+    /// Capacity of the in-memory workload memo (analyzed + calibrated
+    /// workloads), evicted least-recently-used first. A warm HIT served
+    /// from the verified index does not touch the memo; misses,
+    /// recomputes and the first read of a key in this process do.
     pub memo_capacity: usize,
     /// Device model used for analysis, calibration and verification.
     pub gpu: GpuConfig,
@@ -408,6 +421,17 @@ impl ServiceConfig {
             sync_interval: None,
         }
     }
+}
+
+/// An artifact this process has verified against its own graph and
+/// trace: what a warm HIT compares the bytes on disk with.
+#[derive(Clone)]
+struct Verified {
+    /// The content-addressed key the artifact is stored under.
+    key: CacheKey,
+    /// The exact bytes that were verified.
+    text: Arc<str>,
+    launches: usize,
 }
 
 /// An analyzed + calibrated workload, shared read-only between workers.
@@ -600,7 +624,10 @@ struct Inner {
     /// Single-flight table: flight key → followers waiting on the leader.
     inflight: Mutex<HashMap<CacheKey, Vec<Arc<Cell<Reply>>>>>,
     /// Workload memo: flight key → prepared workload.
-    memo: Mutex<HashMap<CacheKey, Arc<Prepared>>>,
+    memo: Mutex<Lru<CacheKey, Arc<Prepared>>>,
+    /// Verified index: flight key → the artifact this process verified.
+    /// Never persisted, so every process verifies each artifact once.
+    verified: Mutex<Lru<CacheKey, Verified>>,
     /// Worker threads currently running their loop; decremented on any
     /// exit, including a panic unwind.
     live_workers: AtomicUsize,
@@ -641,6 +668,7 @@ impl Service {
         let workers = cfg.workers.max(1);
         let sync_interval =
             if cfg.peers.is_empty() { None } else { cfg.sync_interval.filter(|d| !d.is_zero()) };
+        let memo = Mutex::new(Lru::new(cfg.memo_capacity));
         let inner = Arc::new(Inner {
             cfg,
             cache,
@@ -655,7 +683,8 @@ impl Service {
             sync_cv: Condvar::new(),
             supervisor_cv: Condvar::new(),
             inflight: Mutex::new(HashMap::new()),
-            memo: Mutex::new(HashMap::new()),
+            memo,
+            verified: Mutex::new(Lru::new(VERIFIED_INDEX_CAPACITY)),
             live_workers: AtomicUsize::new(0),
         });
         let mut handles = Vec::with_capacity(workers);
@@ -1058,18 +1087,51 @@ impl Inner {
         let key = schedule_cache_key(&app.graph, &gt, &gpu.cache, &cal, &kcfg);
         bump(&self.metrics.analysis_runs);
         let prepared = Arc::new(Prepared { app, gt, cal, kcfg, key });
-        let mut memo = fault::lock(&self.memo);
-        if memo.len() >= self.cfg.memo_capacity {
-            memo.clear();
-        }
-        memo.insert(fk, Arc::clone(&prepared));
+        fault::lock(&self.memo).insert(fk, Arc::clone(&prepared));
         Ok(prepared)
     }
 
-    /// The full cached pipeline: prepare → probe cache → compute + store.
+    /// The warm HIT: serves the artifact of `fk` when its bytes on disk
+    /// equal the copy this process verified, with no analysis, parse or
+    /// re-verification. The compare is of exact bytes, not of a hash, so
+    /// only verified bytes are ever served this way. A missing file, a
+    /// mismatch or an injected `cache.load` fault drops the entry and
+    /// returns `None`; the caller then runs the full pipeline, which does
+    /// its own counting.
+    fn serve_verified(&self, fk: CacheKey, t_total: Instant) -> Option<ScheduleResponse> {
+        let v = fault::lock(&self.verified).get(&fk).cloned()?;
+        let t_load = Instant::now();
+        let text = match self.faults.fire_io(points::CACHE_LOAD) {
+            Ok(()) => self.cache.load_text(&v.key),
+            Err(_) => None,
+        };
+        let Some(text) = text.filter(|t| *t == *v.text) else {
+            fault::lock(&self.verified).remove(&fk);
+            return None;
+        };
+        bump(&self.metrics.cache_hits);
+        self.metrics.cache_load_latency.record(t_load.elapsed());
+        self.metrics.total_latency.record(t_total.elapsed());
+        Some(ScheduleResponse { outcome: Outcome::Hit, key: v.key, launches: v.launches, text })
+    }
+
+    /// Records that the artifact of `key` on disk is `text`, which this
+    /// process has verified (or computed and validated) for the request
+    /// of flight key `fk`. Call only once the bytes on disk are known to
+    /// equal `text`.
+    fn index_verified(&self, fk: CacheKey, key: CacheKey, text: &str, launches: usize) {
+        fault::lock(&self.verified).insert(fk, Verified { key, text: Arc::from(text), launches });
+    }
+
+    /// The full cached pipeline: verified index → prepare → probe cache →
+    /// peer fill → compute + store.
     fn run_pipeline(&self, req: &ScheduleRequest) -> Result<ScheduleResponse, SvcError> {
         let t_total = Instant::now();
-        let p = self.prepare(req, req.flight_key())?;
+        let fk = req.flight_key();
+        if let Some(resp) = self.serve_verified(fk, t_total) {
+            return Ok(resp);
+        }
+        let p = self.prepare(req, fk)?;
 
         let t_load = Instant::now();
         let probe = match self.faults.fire_io(points::CACHE_LOAD) {
@@ -1082,13 +1144,10 @@ impl Inner {
         let outcome = match probe {
             CacheProbe::Hit { text, schedule } => {
                 bump(&self.metrics.cache_hits);
+                let launches = schedule.num_launches();
+                self.index_verified(fk, p.key, &text, launches);
                 self.metrics.total_latency.record(t_total.elapsed());
-                return Ok(ScheduleResponse {
-                    outcome: Outcome::Hit,
-                    key: p.key,
-                    launches: schedule.num_launches(),
-                    text,
-                });
+                return Ok(ScheduleResponse { outcome: Outcome::Hit, key: p.key, launches, text });
             }
             CacheProbe::Absent => {
                 bump(&self.metrics.cache_misses);
@@ -1104,7 +1163,7 @@ impl Inner {
         // nodes whether one of them already holds this artifact. Strictly
         // an optimization — any peer failure falls through to the local
         // pipeline below.
-        if let Some(resp) = self.peer_fill(&p, t_total) {
+        if let Some(resp) = self.peer_fill(&p, fk, t_total) {
             return Ok(resp);
         }
 
@@ -1121,24 +1180,31 @@ impl Inner {
         self.metrics.tile_latency.record(t_tile.elapsed());
 
         let text = schedule_to_text(&out.schedule);
-        let stored =
-            self.faults.fire_io(points::CACHE_STORE).and_then(|()| self.cache.store(&p.key, &text));
-        if stored.is_err() {
+        let launches = out.schedule.num_launches();
+        match self
+            .faults
+            .fire_io(points::CACHE_STORE)
+            .and_then(|()| self.cache.store(&p.key, &text))
+        {
+            Ok(StoreOutcome::Stored) => self.index_verified(fk, p.key, &text, launches),
+            Ok(StoreOutcome::SkippedNoSpace) => {}
             // The response is still good; only persistence was lost.
-            bump(&self.metrics.store_failures);
+            Err(_) => bump(&self.metrics.store_failures),
         }
         self.metrics.total_latency.record(t_total.elapsed());
-        Ok(ScheduleResponse { outcome, key: p.key, launches: out.schedule.num_launches(), text })
+        Ok(ScheduleResponse { outcome, key: p.key, launches, text })
     }
 
     /// Tries to fill a local cache miss from a peer node's cache. The
-    /// fetched text is untrusted: it is parsed and fully re-verified
-    /// against **this** node's graph, trace and tiling parameters before
-    /// being stored and served — a peer can save this node work, never
-    /// hand it a wrong schedule. Returns `None` when no peer helped (no
-    /// peers configured, injected fault, transport failure, key not held,
-    /// or verification failure); the caller recomputes.
-    fn peer_fill(&self, p: &Prepared, t_total: Instant) -> Option<ScheduleResponse> {
+    /// fetched text is untrusted: it is parsed and fully verified against
+    /// **this** node's graph, trace and tiling parameters before being
+    /// stored and served — a peer can save this node work, never hand it
+    /// a wrong schedule. Once stored, the verified bytes enter the
+    /// verified index like a local computation's. Returns `None` when no
+    /// peer helped (no peers configured, injected fault, transport
+    /// failure, key not held, or verification failure); the caller
+    /// recomputes.
+    fn peer_fill(&self, p: &Prepared, fk: CacheKey, t_total: Instant) -> Option<ScheduleResponse> {
         if self.cfg.peers.is_empty() {
             return None;
         }
@@ -1163,16 +1229,19 @@ impl Inner {
                 bump(&self.metrics.peer_fetch_failures);
                 continue;
             }
-            if self.cache.store(&p.key, &text).is_err() {
+            let launches = schedule.num_launches();
+            match self.cache.store(&p.key, &text) {
+                Ok(StoreOutcome::Stored) => self.index_verified(fk, p.key, &text, launches),
+                Ok(StoreOutcome::SkippedNoSpace) => {}
                 // Still serve the response; only persistence was lost.
-                bump(&self.metrics.store_failures);
+                Err(_) => bump(&self.metrics.store_failures),
             }
             bump(&self.metrics.peer_fills);
             self.metrics.total_latency.record(t_total.elapsed());
             return Some(ScheduleResponse {
                 outcome: Outcome::PeerFill,
                 key: p.key,
-                launches: schedule.num_launches(),
+                launches,
                 text,
             });
         }
@@ -1181,9 +1250,10 @@ impl Inner {
 
     /// One anti-entropy repair round: ask each configured peer for its key
     /// digest, pull every key this node is missing, and store it after a
-    /// parse sanity check (full verification — which needs the request's
-    /// graph and trace — happens on every later load, exactly as for peer
-    /// fills). Returns `(pulled, failed, peers_consulted)`.
+    /// parse sanity check. Full verification needs the request's graph and
+    /// trace, so it happens on the first read of the pulled artifact; only
+    /// then do its bytes enter the verified index. Returns
+    /// `(pulled, failed, peers_consulted)`.
     ///
     /// Routing keys are not content keys, so a node cannot range-filter
     /// the digest to "its" ring segment; replica groups exchange whole key

@@ -1,6 +1,6 @@
 //! End-to-end tests of the scheduling service: cache miss/hit identity,
-//! verify-on-load recovery, single-flight deduplication, shedding,
-//! deadlines and the TCP front-end.
+//! verify-on-load recovery, the verified index and the workload memo,
+//! single-flight deduplication, shedding, deadlines and the TCP front-end.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -10,7 +10,8 @@ use std::time::{Duration, Instant};
 use ktiler_svc::metrics::Metrics;
 use ktiler_svc::proto::{write_frame, Request, Response};
 use ktiler_svc::{
-    serve, NetClient, Outcome, ScheduleRequest, Service, ServiceConfig, SvcError, WorkloadSpec,
+    serve, NetClient, Outcome, ScheduleCache, ScheduleRequest, Service, ServiceConfig, SvcError,
+    WorkloadSpec,
 };
 
 /// A fresh scratch directory unique to this test invocation; callers clean
@@ -145,6 +146,204 @@ fn corrupted_artifact_is_detected_and_recomputed() {
     assert_eq!(Metrics::get(&m.cache_hits), 1);
     assert_eq!(Metrics::get(&m.cache_misses), 1);
     assert_eq!(Metrics::get(&m.pipeline_runs), 3);
+
+    svc.shutdown();
+    cleanup(&dir);
+}
+
+/// A 64² request with `iters` Jacobi iterations: one distinct key per
+/// value.
+fn request_iters(iters: u32) -> ScheduleRequest {
+    ScheduleRequest::new(WorkloadSpec::OptFlow { size: 64, iters, levels: 2 })
+}
+
+#[test]
+fn warm_hits_skip_analysis_even_when_the_memo_holds_one_workload() {
+    let dir = temp_dir("index");
+    let mut cfg = ServiceConfig::new(&dir);
+    cfg.memo_capacity = 1;
+    let svc = Service::start(cfg).unwrap();
+    let client = svc.client();
+
+    let reqs: Vec<ScheduleRequest> = (1..=4).map(request_iters).collect();
+    let misses: Vec<_> = reqs.iter().map(|r| client.schedule(r.clone()).unwrap()).collect();
+    assert!(misses.iter().all(|m| m.outcome == Outcome::Miss));
+    // Keys cycle through a memo of one: every read would re-analyze if a
+    // HIT still needed the prepared workload.
+    for _ in 0..2 {
+        for (req, miss) in reqs.iter().zip(&misses) {
+            let hit = client.schedule(req.clone()).unwrap();
+            assert_eq!(hit.outcome, Outcome::Hit);
+            assert_eq!((hit.key, hit.launches), (miss.key, miss.launches));
+            assert_eq!(hit.text, miss.text, "hit must be byte-identical to the miss");
+        }
+    }
+
+    let m = svc.metrics();
+    assert_eq!(Metrics::get(&m.analysis_runs), 4, "one analysis per key, none per HIT");
+    assert_eq!(Metrics::get(&m.cache_hits), 8);
+    assert_eq!(Metrics::get(&m.pipeline_runs), 4);
+
+    svc.shutdown();
+    cleanup(&dir);
+}
+
+#[test]
+fn memo_evicts_least_recently_used_not_everything() {
+    let dir = temp_dir("memo-lru");
+    let mut cfg = ServiceConfig::new(&dir);
+    cfg.memo_capacity = 2;
+    let svc = Service::start(cfg).unwrap();
+    let client = svc.client();
+
+    let [a, b, c] = [1, 2, 3].map(request_iters);
+    for req in [&a, &b, &c] {
+        assert_eq!(client.schedule(req.clone()).unwrap().outcome, Outcome::Miss);
+    }
+    // C evicted only A, so B's recompute finds its workload in the memo
+    // (a memo cleared when full would hold C alone and re-analyze B).
+    let b_key = client.schedule(b.clone()).unwrap().key;
+    std::fs::write(dir.join(format!("{b_key}.sched")), "garbage\n").unwrap();
+    assert_eq!(client.schedule(b).unwrap().outcome, Outcome::Recompute);
+    assert_eq!(Metrics::get(&svc.metrics().analysis_runs), 3);
+
+    svc.shutdown();
+    cleanup(&dir);
+}
+
+#[test]
+fn a_byte_flip_in_an_indexed_artifact_is_quarantined_and_recomputed() {
+    let dir = temp_dir("flip");
+    let svc = Service::start(ServiceConfig::new(&dir)).unwrap();
+    let client = svc.client();
+
+    let first = client.schedule(small_request()).unwrap();
+    assert_eq!(client.schedule(small_request()).unwrap().outcome, Outcome::Hit);
+    // `0-3` becomes `0,3`: still parseable, but blocks go missing, so
+    // only verification can reject it.
+    let artifact = dir.join(format!("{}.sched", first.key));
+    let mut bytes = first.text.clone().into_bytes();
+    let dash = bytes.iter().position(|&b| b == b'-').expect("a block range");
+    bytes[dash] ^= 1;
+    std::fs::write(&artifact, &bytes).unwrap();
+
+    let second = client.schedule(small_request()).unwrap();
+    assert_eq!(second.outcome, Outcome::Recompute);
+    assert_eq!(second.text, first.text);
+    assert_eq!(std::fs::read_to_string(&artifact).unwrap(), first.text, "artifact restored");
+    let quarantined = dir.join(format!("{}.sched.bad", first.key));
+    assert_eq!(std::fs::read(&quarantined).unwrap(), bytes, "the flipped bytes are kept");
+    assert_eq!(client.schedule(small_request()).unwrap().outcome, Outcome::Hit);
+
+    let m = svc.metrics();
+    assert_eq!(Metrics::get(&m.verify_failures), 1);
+    assert_eq!(Metrics::get(&m.cache_hits), 2);
+    assert_eq!(Metrics::get(&m.analysis_runs), 1, "the recompute reuses the memo");
+
+    svc.shutdown();
+    cleanup(&dir);
+}
+
+#[test]
+fn a_swapped_valid_artifact_is_fully_verified_before_it_is_served() {
+    let dir = temp_dir("swap");
+    let mut cfg = ServiceConfig::new(&dir);
+    cfg.memo_capacity = 1;
+    let svc = Service::start(cfg).unwrap();
+    let client = svc.client();
+
+    let first = client.schedule(small_request()).unwrap();
+    // Another key takes the memo's only slot, so verifying the first key
+    // again must re-run its analysis, which `analysis_runs` counts.
+    client.schedule(request_iters(1)).unwrap();
+    assert_eq!(client.schedule(small_request()).unwrap().outcome, Outcome::Hit);
+    assert_eq!(Metrics::get(&svc.metrics().analysis_runs), 2);
+
+    // A different, valid schedule of the same workload: the first launch
+    // of a block range `lo-hi` split into `lo` and `lo+1..=hi`.
+    let swapped: String = {
+        let mut lines: Vec<String> = first.text.lines().map(str::to_string).collect();
+        let (i, node, lo, hi) = lines
+            .iter()
+            .enumerate()
+            .find_map(|(i, l)| {
+                let mut t = l.strip_prefix("launch ")?.split_whitespace();
+                let node = t.next()?.to_string();
+                let (lo, hi) = t.next()?.split_once('-')?;
+                Some((i, node, lo.parse::<u32>().ok()?, hi.parse::<u32>().ok()?))
+            })
+            .expect("a launch of a block range");
+        let rest = if hi == lo + 1 { hi.to_string() } else { format!("{}-{hi}", lo + 1) };
+        lines[i] = format!("launch {node} {lo}");
+        lines.insert(i + 1, format!("launch {node} {rest}"));
+        lines.join("\n") + "\n"
+    };
+    std::fs::write(dir.join(format!("{}.sched", first.key)), &swapped).unwrap();
+
+    let served = client.schedule(small_request()).unwrap();
+    assert_eq!(served.outcome, Outcome::Hit);
+    assert_eq!(served.text, swapped);
+    assert_eq!(served.launches, first.launches + 1);
+    assert_eq!(Metrics::get(&svc.metrics().analysis_runs), 3, "verified before served");
+    // Verified once, the swapped bytes are now indexed in turn.
+    assert_eq!(client.schedule(small_request()).unwrap().text, swapped);
+    assert_eq!(Metrics::get(&svc.metrics().analysis_runs), 3);
+
+    svc.shutdown();
+    cleanup(&dir);
+}
+
+#[test]
+fn an_artifact_removed_by_the_sweeper_is_a_miss_not_stale_bytes() {
+    let dir = temp_dir("swept");
+    let svc = Service::start(ServiceConfig::new(&dir)).unwrap();
+    let client = svc.client();
+
+    let first = client.schedule(small_request()).unwrap();
+    assert_eq!(client.schedule(small_request()).unwrap().outcome, Outcome::Hit);
+    let sweeper = ScheduleCache::open(&dir).unwrap().with_budget(Some(1));
+    assert_eq!(sweeper.sweep().unwrap(), 1);
+
+    let after = client.schedule(small_request()).unwrap();
+    assert_eq!(after.outcome, Outcome::Miss);
+    assert_eq!(after.text, first.text);
+    let m = svc.metrics();
+    assert_eq!(Metrics::get(&m.cache_misses), 2);
+    assert_eq!(Metrics::get(&m.cache_hits), 1);
+
+    svc.shutdown();
+    cleanup(&dir);
+}
+
+#[test]
+fn a_new_service_verifies_a_warm_artifact_once_then_serves_it_from_the_index() {
+    let dir = temp_dir("restart");
+    let reqs = [small_request(), request_iters(1)];
+    let misses: Vec<_> = {
+        let svc = Service::start(ServiceConfig::new(&dir)).unwrap();
+        let misses = reqs.iter().map(|r| svc.client().schedule(r.clone()).unwrap()).collect();
+        svc.shutdown();
+        misses
+    };
+
+    // A memo of one and two keys in turn: only the index can keep the
+    // analysis count at one per key.
+    let mut cfg = ServiceConfig::new(&dir);
+    cfg.memo_capacity = 1;
+    let svc = Service::start(cfg).unwrap();
+    let client = svc.client();
+    for _ in 0..3 {
+        for (req, miss) in reqs.iter().zip(&misses) {
+            let hit = client.schedule(req.clone()).unwrap();
+            assert_eq!(hit.outcome, Outcome::Hit);
+            assert_eq!(hit.text, miss.text);
+        }
+        assert_eq!(
+            Metrics::get(&svc.metrics().analysis_runs),
+            2,
+            "the new process verifies each artifact once, on its first HIT"
+        );
+    }
 
     svc.shutdown();
     cleanup(&dir);

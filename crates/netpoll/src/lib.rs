@@ -1,11 +1,12 @@
-//! `poll(2)`, the one system call the serving tier's event loop needs and
-//! `std` does not offer. It lives in its own crate so `ktiler-svc` and
-//! `ktiler-gateway` keep `#![forbid(unsafe_code)]`; this file holds the
-//! workspace's only `unsafe` block outside the benchmark.
+//! `poll(2)` and `listen(2)`, the two system calls the serving tier's
+//! event loop needs and `std` does not offer. They live in their own
+//! crate so `ktiler-svc` and `ktiler-gateway` keep
+//! `#![forbid(unsafe_code)]`; this file holds the workspace's only
+//! `unsafe` blocks outside the benchmark.
 
 use std::ffi::{c_int, c_short, c_ulong};
 use std::io;
-use std::os::fd::RawFd;
+use std::os::fd::{AsRawFd, BorrowedFd, RawFd};
 use std::time::{Duration, Instant};
 
 /// One `struct pollfd`.
@@ -41,6 +42,27 @@ mod sys {
     use super::{c_int, c_ulong, PollFd};
     extern "C" {
         pub fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+        pub fn listen(fd: c_int, backlog: c_int) -> c_int;
+    }
+}
+
+/// Sets the accept backlog of the bound socket `fd` by calling
+/// `listen(2)` on it (again). `std::net::TcpListener::bind` listens with
+/// a backlog of 128, and the kernel drops a SYN that finds the accept
+/// queue full, which stalls that client for the ~1 s SYN retransmit.
+/// Linux caps `backlog` at `net.core.somaxconn`.
+///
+/// # Errors
+///
+/// Any `listen` failure, e.g. `fd` is not a bound stream socket.
+pub fn listen(fd: BorrowedFd<'_>, backlog: c_int) -> io::Result<()> {
+    // SAFETY: listen reads two integers and no memory; `fd` is borrowed,
+    // so it is open and owned by the caller for the whole call.
+    let rc = unsafe { sys::listen(fd.as_raw_fd(), backlog) };
+    if rc == 0 {
+        Ok(())
+    } else {
+        Err(io::Error::last_os_error())
     }
 }
 
@@ -85,7 +107,8 @@ pub fn poll(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<usize> 
 mod tests {
     use super::*;
     use std::io::Write;
-    use std::os::fd::AsRawFd;
+    use std::net::{TcpListener, TcpStream};
+    use std::os::fd::AsFd;
     use std::os::unix::net::UnixStream;
 
     #[test]
@@ -101,6 +124,28 @@ mod tests {
         tx.write_all(&[1]).unwrap();
         assert_eq!(poll(&mut fds, None).unwrap(), 1);
         assert_eq!(fds[0].revents & POLLIN, POLLIN);
+    }
+
+    #[test]
+    fn a_raised_backlog_queues_512_unaccepted_connects() {
+        // At bind's default backlog of 128 the kernel drops the SYNs past
+        // the 129th queued connection and these connects time out.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listen(listener.as_fd(), 4096).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let clients: Vec<TcpStream> = (0..512)
+            .map(|i| {
+                TcpStream::connect_timeout(&addr, Duration::from_millis(500))
+                    .unwrap_or_else(|e| panic!("connect {i} failed: {e}"))
+            })
+            .collect();
+        assert_eq!(clients.len(), 512);
+    }
+
+    #[test]
+    fn listen_on_a_connected_socket_is_an_error() {
+        let (a, _b) = UnixStream::pair().unwrap();
+        assert!(listen(a.as_fd(), 16).is_err(), "a connected socket cannot listen");
     }
 
     #[test]

@@ -46,7 +46,7 @@ if [[ "$GATE_FAIL" -ne 0 ]]; then
 fi
 
 echo "== unsafe gate (crates/ outside netpoll) =="
-# The workspace's one FFI call, poll(2), lives in crates/netpoll; every
+# The workspace's FFI calls, poll(2) and listen(2), live in crates/netpoll; every
 # other crate stays safe Rust (ktiler-svc and ktiler-gateway also carry
 # #![forbid(unsafe_code)]). The benchmark under benchmark/ keeps its own.
 UNSAFE_HITS=$(grep -rnw --include='*.rs' 'unsafe' crates | grep -v '^crates/netpoll/' || true)
@@ -208,6 +208,58 @@ fi
 SERVE_PID=""
 grep -qF '"requests": 3' "$SVC_DIR/stats.json" \
     || { echo "error: final stats dump missing or wrong" >&2; cat "$SVC_DIR/stats.json" >&2; exit 1; }
+
+echo "== ktiler-svc restart: each process verifies an artifact once =="
+# The verified index lives in memory only, so a node restarted on a warm
+# cache directory trusts nothing its predecessor verified: its first HIT
+# re-runs analysis and the full verification (analysis_runs 1), later
+# HITs are exact-byte checked against that copy (analysis_runs stays 1),
+# and a corrupted artifact is still caught once the index is warm.
+rm -f "$SVC_DIR/port"
+target/release/ktiler_serve --addr 127.0.0.1:0 --cache-dir "$SVC_DIR/cache" \
+    --port-file "$SVC_DIR/port" >"$SVC_DIR/serve2.log" 2>&1 &
+SERVE_PID=$!
+for _ in $(seq 1 100); do
+    [[ -s "$SVC_DIR/port" ]] && break
+    if ! kill -0 "$SERVE_PID" 2>/dev/null; then
+        echo "error: restarted ktiler_serve exited early" >&2
+        cat "$SVC_DIR/serve2.log" >&2
+        exit 1
+    fi
+    sleep 0.1
+done
+ADDR=$(cat "$SVC_DIR/port")
+SCHED_ARGS=(schedule --addr "$ADDR" --size 64 --iters 3 --levels 2)
+expect_analysis_runs() { # <n> <context>
+    "${CLIENT[@]}" stats --addr "$ADDR" > "$SVC_DIR/live_stats.json"
+    grep -qF "\"analysis_runs\": $1," "$SVC_DIR/live_stats.json" \
+        || { echo "error: expected analysis_runs $1 $2" >&2
+             cat "$SVC_DIR/live_stats.json" >&2; exit 1; }
+}
+for n in 1 2; do
+    "${CLIENT[@]}" "${SCHED_ARGS[@]}" --out "$SVC_DIR/restart$n.sched" | grep '^HIT ' >/dev/null \
+        || { echo "error: request $n after the restart should be a HIT" >&2; exit 1; }
+    cmp -s "$SVC_DIR/first.sched" "$SVC_DIR/restart$n.sched" \
+        || { echo "error: HIT $n after the restart is not byte-identical" >&2; exit 1; }
+    expect_analysis_runs 1 "after HIT $n of the restarted node"
+done
+ARTIFACT=$(ls "$SVC_DIR"/cache/*.sched)
+echo "garbage, not a schedule" > "$ARTIFACT"
+"${CLIENT[@]}" "${SCHED_ARGS[@]}" --out "$SVC_DIR/restart3.sched" | grep '^RECOMPUTE ' >/dev/null \
+    || { echo "error: corrupting an indexed artifact should trigger a RECOMPUTE" >&2; exit 1; }
+cmp -s "$SVC_DIR/first.sched" "$SVC_DIR/restart3.sched" \
+    || { echo "error: recompute after the restart did not reproduce the schedule" >&2; exit 1; }
+"${CLIENT[@]}" shutdown --addr "$ADDR" | grep '^BYE$' >/dev/null \
+    || { echo "error: restarted node shutdown not acknowledged" >&2; exit 1; }
+for _ in $(seq 1 100); do
+    kill -0 "$SERVE_PID" 2>/dev/null || break
+    sleep 0.1
+done
+if kill -0 "$SERVE_PID" 2>/dev/null; then
+    echo "error: restarted ktiler_serve did not exit after SHUTDOWN" >&2
+    exit 1
+fi
+SERVE_PID=""
 
 echo "== multi-node smoke test (2 nodes + gateway) =="
 # The deployment story live: two peered nodes behind a gateway, driven
