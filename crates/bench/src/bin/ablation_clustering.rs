@@ -17,7 +17,7 @@ use gpu_sim::FreqConfig;
 use kgraph::NodeId;
 use ktiler::{
     calibrate, cluster_tile, execute_schedule, ktiler_schedule, singleton_tiling, Calibration,
-    CalibrationConfig, Partition, RunReport, Schedule,
+    CalibrationConfig, MergeCheck, Partition, RunReport, Schedule,
 };
 
 /// Greedy merge-everything: accept every valid merge along every positive-
@@ -26,6 +26,7 @@ fn merge_all(w: &Workload, cal: &Calibration) -> Schedule {
     let g = &w.app.graph;
     let kcfg = paper_ktiler_config(&w.cfg);
     let mut partition = Partition::singletons(g);
+    let mut check = MergeCheck::default();
     let mut edges: Vec<(f64, u32)> = g
         .edge_ids()
         .map(|e| (cal.edge_weights[e.0 as usize], e.0))
@@ -37,9 +38,8 @@ fn merge_all(w: &Workload, cal: &Calibration) -> Schedule {
         let edge = g.edge(kgraph::EdgeId(edges[i].1));
         let (ca, cb) = (partition.cluster_of(edge.src), partition.cluster_of(edge.dst));
         if ca != cb {
-            let m = partition.merged(ca, cb);
-            if m.is_valid(g) {
-                partition = m;
+            if partition.merge_keeps_valid(g, ca, cb, &mut check) {
+                partition = partition.merged(ca, cb);
                 edges.remove(i);
                 i = 0;
                 continue;

@@ -114,6 +114,10 @@ impl Node {
 pub struct AppGraph {
     nodes: Vec<Node>,
     edges: Vec<Edge>,
+    /// Outgoing edge ids of each node, in edge-id order.
+    out_edges: Vec<Vec<EdgeId>>,
+    /// Incoming edge ids of each node, in edge-id order.
+    in_edges: Vec<Vec<EdgeId>>,
 }
 
 impl AppGraph {
@@ -146,6 +150,8 @@ impl AppGraph {
     fn add_node(&mut self, node: Node) -> NodeId {
         let id = NodeId(self.nodes.len() as u32);
         self.nodes.push(node);
+        self.out_edges.push(Vec::new());
+        self.in_edges.push(Vec::new());
         id
     }
 
@@ -160,6 +166,8 @@ impl AppGraph {
         assert_ne!(src, dst, "self-dependencies are not allowed");
         let id = EdgeId(self.edges.len() as u32);
         self.edges.push(Edge { src, dst, buf });
+        self.out_edges[src.0 as usize].push(id);
+        self.in_edges[dst.0 as usize].push(id);
         id
     }
 
@@ -201,27 +209,21 @@ impl AppGraph {
         (0..self.edges.len() as u32).map(EdgeId)
     }
 
-    /// Direct successors (consumers) of a node, with the connecting edge.
+    /// Direct successors (consumers) of a node, with the connecting edge,
+    /// in edge-id order. O(out-degree).
     pub fn successors(&self, id: NodeId) -> impl Iterator<Item = (EdgeId, NodeId)> + '_ {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter(move |(_, e)| e.src == id)
-            .map(|(i, e)| (EdgeId(i as u32), e.dst))
+        self.out_edges[id.0 as usize].iter().map(|&e| (e, self.edge(e).dst))
     }
 
-    /// Direct predecessors (producers) of a node, with the connecting edge.
+    /// Direct predecessors (producers) of a node, with the connecting edge,
+    /// in edge-id order. O(in-degree).
     pub fn predecessors(&self, id: NodeId) -> impl Iterator<Item = (EdgeId, NodeId)> + '_ {
-        self.edges
-            .iter()
-            .enumerate()
-            .filter(move |(_, e)| e.dst == id)
-            .map(|(i, e)| (EdgeId(i as u32), e.src))
+        self.in_edges[id.0 as usize].iter().map(|&e| (e, self.edge(e).src))
     }
 
-    /// Incoming edges of a node.
-    pub fn in_edges(&self, id: NodeId) -> Vec<EdgeId> {
-        self.predecessors(id).map(|(e, _)| e).collect()
+    /// Incoming edges of a node, in edge-id order.
+    pub fn in_edges(&self, id: NodeId) -> &[EdgeId] {
+        &self.in_edges[id.0 as usize]
     }
 }
 
@@ -266,6 +268,36 @@ mod tests {
         let pred: Vec<NodeId> = g.predecessors(d).map(|(_, n)| n).collect();
         assert_eq!(pred, vec![a]);
         assert_eq!(g.in_edges(c).len(), 1);
+    }
+
+    /// The adjacency lists yield edges in edge-id order however the edges
+    /// were interleaved across nodes (calibration's predecessor masks and
+    /// every traversal's tie-breaks depend on it).
+    #[test]
+    fn adjacency_yields_edges_in_edge_id_order() {
+        let mut mem = DeviceMemory::new();
+        let b = buf(&mut mem, 16);
+        let mut g = AppGraph::new();
+        let n: Vec<NodeId> = (0..6).map(|_| g.add_dtoh(b)).collect();
+        // Edges added out of node order, with parallel edges and a node
+        // created before its first in-edge's source.
+        let pairs = [(3, 5), (0, 5), (0, 2), (1, 5), (0, 5), (2, 4), (0, 1), (3, 4), (1, 2)];
+        for &(s, d) in &pairs {
+            g.add_edge(n[s], n[d], b);
+        }
+        for v in g.node_ids() {
+            let scan_out: Vec<(EdgeId, NodeId)> =
+                g.edge_ids().filter(|&e| g.edge(e).src == v).map(|e| (e, g.edge(e).dst)).collect();
+            let scan_in: Vec<(EdgeId, NodeId)> =
+                g.edge_ids().filter(|&e| g.edge(e).dst == v).map(|e| (e, g.edge(e).src)).collect();
+            assert_eq!(g.successors(v).collect::<Vec<_>>(), scan_out, "successors of {v}");
+            assert_eq!(g.predecessors(v).collect::<Vec<_>>(), scan_in, "predecessors of {v}");
+            assert_eq!(g.in_edges(v), scan_in.iter().map(|&(e, _)| e).collect::<Vec<_>>());
+        }
+        let into_5: Vec<u32> = g.predecessors(n[5]).map(|(e, _)| e.0).collect();
+        assert_eq!(into_5, vec![0, 1, 3, 4]);
+        let out_of_0: Vec<u32> = g.successors(n[0]).map(|(e, _)| e.0).collect();
+        assert_eq!(out_of_0, vec![1, 2, 4, 6]);
     }
 
     #[test]

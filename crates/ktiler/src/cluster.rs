@@ -4,6 +4,12 @@
 //! clusters is a *valid partition* iff the clusters are disjoint, cover all
 //! nodes, and the cluster-level condensation is acyclic (so a total order
 //! `≺C` consistent with data dependencies exists).
+//!
+//! Algorithm 1 never builds a tentative partition to test a merge: from a
+//! valid partition, merging two adjacent clusters stays valid iff no path
+//! between them passes through a third cluster
+//! ([`Partition::merge_keeps_valid`]). [`Partition::is_valid`] checks the
+//! definition directly and is the oracle the tests hold that rule to.
 
 use std::collections::VecDeque;
 
@@ -12,8 +18,7 @@ use kgraph::{AppGraph, NodeId};
 /// A partition of the application graph's nodes into clusters.
 ///
 /// Cluster indices are stable across merges of *other* clusters; merging
-/// two clusters produces a new partition (value semantics keep Algorithm 1
-/// simple: tentative merges are cheap to discard).
+/// two clusters produces a new partition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Partition {
     /// Members of each cluster, each list sorted.
@@ -78,8 +83,34 @@ impl Partition {
         Partition { clusters, node_cluster }
     }
 
+    /// Whether merging clusters `a` and `b` keeps this partition valid,
+    /// decided without building the merged partition.
+    ///
+    /// Requires `self` to be valid and some edge to join `a` and `b` (a
+    /// candidate edge of Algorithm 1). The merged cluster is then
+    /// connected, every other cluster is unchanged, and the condensation
+    /// gains a cycle iff a path from `a` to `b`, or from `b` to `a`, passes
+    /// through a third cluster. `check` holds the search buffers, so
+    /// repeated checks allocate nothing once warm.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `a == b` or either index is out of range.
+    pub fn merge_keeps_valid(
+        &self,
+        g: &AppGraph,
+        a: usize,
+        b: usize,
+        check: &mut MergeCheck,
+    ) -> bool {
+        assert_ne!(a, b, "cannot merge a cluster with itself");
+        !check.detour(self, g, a, b) && !check.detour(self, g, b, a)
+    }
+
     /// Whether this partition is *valid* (Sec. IV-C1): every cluster is a
-    /// connected subgraph and the cluster condensation is acyclic.
+    /// connected subgraph and the cluster condensation is acyclic. The
+    /// definition, checked from scratch: Algorithm 1 decides merges with
+    /// [`Partition::merge_keeps_valid`] instead.
     pub fn is_valid(&self, g: &AppGraph) -> bool {
         self.clusters.iter().all(|c| kgraph::is_connected_subgraph(g, c))
             && self.cluster_order(g).is_some()
@@ -103,20 +134,66 @@ impl Partition {
         for &(_, b) in &edges {
             indeg[b] += 1;
         }
+        // `edges` is sorted by source: cluster `c`'s out-edges are the run
+        // starting at `start[c]`.
+        let mut start = vec![0usize; n + 1];
+        for &(a, _) in &edges {
+            start[a + 1] += 1;
+        }
+        for c in 0..n {
+            start[c + 1] += start[c];
+        }
         let mut queue: VecDeque<usize> = (0..n).filter(|&c| indeg[c] == 0).collect();
         let mut order = Vec::with_capacity(n);
         while let Some(c) = queue.pop_front() {
             order.push(c);
-            for &(a, b) in &edges {
-                if a == c {
-                    indeg[b] -= 1;
-                    if indeg[b] == 0 {
-                        queue.push_back(b);
-                    }
+            for &(_, b) in &edges[start[c]..start[c + 1]] {
+                indeg[b] -= 1;
+                if indeg[b] == 0 {
+                    queue.push_back(b);
                 }
             }
         }
         (order.len() == n).then_some(order)
+    }
+}
+
+/// Search buffers of [`Partition::merge_keeps_valid`]: a seen set over
+/// cluster indices and a DFS stack.
+#[derive(Debug, Default)]
+pub struct MergeCheck {
+    seen: Vec<bool>,
+    stack: Vec<usize>,
+}
+
+impl MergeCheck {
+    /// Whether some path from cluster `from` to cluster `to` in the
+    /// condensation of `p` passes through a third cluster: a DFS over the
+    /// clusters `from` feeds, other than `to` itself.
+    fn detour(&mut self, p: &Partition, g: &AppGraph, from: usize, to: usize) -> bool {
+        self.seen.clear();
+        self.seen.resize(p.clusters.len(), false);
+        self.seen[from] = true;
+        self.seen[to] = true;
+        self.stack.clear();
+        self.stack.push(from);
+        while let Some(c) = self.stack.pop() {
+            for &m in &p.clusters[c] {
+                for (_, s) in g.successors(m) {
+                    let d = p.node_cluster[s.0 as usize];
+                    // The edges `from → to` are the merge itself; reaching
+                    // `to` from any third cluster closes a cycle.
+                    if d == to && c != from {
+                        return true;
+                    }
+                    if !self.seen[d] {
+                        self.seen[d] = true;
+                        self.stack.push(d);
+                    }
+                }
+            }
+        }
+        false
     }
 }
 

@@ -60,7 +60,7 @@ mod timeline;
 mod verify;
 
 pub use calibrate::{calibrate, Calibration, CalibrationConfig};
-pub use cluster::Partition;
+pub use cluster::{MergeCheck, Partition};
 pub use error::KtilerError;
 pub use executor::{
     execute_on, execute_schedule, execute_schedule_opts, launch_subkernel, ExecOptions, RunReport,

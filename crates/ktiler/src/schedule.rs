@@ -14,7 +14,7 @@ use std::collections::HashMap;
 use kgraph::{AppGraph, GraphTrace, NodeId};
 
 use crate::calibrate::Calibration;
-use crate::cluster::Partition;
+use crate::cluster::{MergeCheck, Partition};
 use crate::error::KtilerError;
 use crate::subkernel::Schedule;
 use crate::tile::{cluster_tile, singleton_tiling, ClusterTiling, TileParams};
@@ -105,6 +105,7 @@ pub fn ktiler_schedule(
     // it per partition version turns those rescans into O(1) lookups.
     let mut version = 0u64;
     let mut invalid_at: Vec<u64> = vec![u64::MAX; g.num_edges()];
+    let mut check = MergeCheck::default();
     let mut eix = 0usize;
     while eix < candidates.len() {
         let (_, edge_id) = candidates[eix];
@@ -121,8 +122,7 @@ pub fn ktiler_schedule(
             eix = 0;
             continue;
         }
-        let merged = partition.merged(ca, cb);
-        if !merged.is_valid(g) {
+        if !partition.merge_keeps_valid(g, ca, cb, &mut check) {
             report.merges_invalid += 1;
             invalid_at[edge_id as usize] = version;
             eix += 1;
@@ -130,7 +130,8 @@ pub fn ktiler_schedule(
         }
         let keep = ca.min(cb);
         let drop = ca.max(cb);
-        let members = merged.members(keep).to_vec();
+        let mut members = [partition.members(ca), partition.members(cb)].concat();
+        members.sort_unstable();
         let merged_tiling = match tiling_memo.get(&members) {
             Some(cached) => {
                 report.tilings_memoized += 1;
@@ -145,7 +146,8 @@ pub fn ktiler_schedule(
         let old_cost = tilings[ca].cost_ns + tilings[cb].cost_ns;
         match merged_tiling {
             Some(t) if t.cost_ns < old_cost => {
-                partition = merged;
+                partition = partition.merged(ca, cb);
+                debug_assert!(partition.is_valid(g), "merge check accepted an invalid partition");
                 tilings.remove(drop);
                 tilings[keep] = t;
                 report.merges_accepted += 1;

@@ -150,3 +150,105 @@ fn chain_clusters_are_intervals() {
         }
     }
 }
+
+/// A random DAG on `n` nodes: every pair in a hidden topological order gets
+/// an edge with probability `density`, node ids are shuffled against that
+/// order (so edges run from higher to lower ids too), and the edges are
+/// added in random order, a few of them twice.
+fn random_dag(rng: &mut SplitMix64, n: usize, density: f64) -> AppGraph {
+    let mut mem = DeviceMemory::new();
+    let buf = mem.alloc_f32(4, "b");
+    let mut g = AppGraph::new();
+    let nodes: Vec<NodeId> = (0..n).map(|_| g.add_dtoh(buf)).collect();
+    let mut rank: Vec<usize> = (0..n).collect();
+    for i in (1..n).rev() {
+        rank.swap(i, rng.gen_range_usize(0, i + 1));
+    }
+    let mut edges = Vec::new();
+    for i in 0..n {
+        for j in i + 1..n {
+            if rng.gen_range_f64(0.0, 1.0) < density {
+                edges.push((nodes[rank[i]], nodes[rank[j]]));
+                if rng.gen_range_usize(0, 8) == 0 {
+                    edges.push((nodes[rank[i]], nodes[rank[j]]));
+                }
+            }
+        }
+    }
+    for i in (1..edges.len()).rev() {
+        edges.swap(i, rng.gen_range_usize(0, i + 1));
+    }
+    for (s, d) in edges {
+        g.add_edge(s, d, buf);
+    }
+    g
+}
+
+/// Runs a random sequence of valid merges on `g`. Before each merge, every
+/// adjacent cluster pair is checked in both argument orders: the
+/// reachability check must agree with building the merged partition and
+/// checking its validity from scratch. Returns (valid, invalid) pair counts.
+fn merge_check_matches_oracle(g: &AppGraph, rng: &mut SplitMix64, what: &str) -> (usize, usize) {
+    let mut p = Partition::singletons(g);
+    assert!(p.is_valid(g), "{what}: singletons of a DAG");
+    let mut check = ktiler::MergeCheck::default();
+    let (mut valid, mut invalid) = (0, 0);
+    loop {
+        let mut pairs: Vec<(usize, usize)> = g
+            .edge_ids()
+            .map(|e| (p.cluster_of(g.edge(e).src), p.cluster_of(g.edge(e).dst)))
+            .filter(|&(a, b)| a != b)
+            .map(|(a, b)| (a.min(b), a.max(b)))
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        let mut ok = Vec::new();
+        for &(a, b) in &pairs {
+            let oracle = p.merged(a, b).is_valid(g);
+            for (x, y) in [(a, b), (b, a)] {
+                assert_eq!(
+                    p.merge_keeps_valid(g, x, y, &mut check),
+                    oracle,
+                    "{what}: merge ({x}, {y}) of {:?} / {:?}",
+                    p.members(x),
+                    p.members(y)
+                );
+            }
+            if oracle {
+                ok.push((a, b));
+                valid += 1;
+            } else {
+                invalid += 1;
+            }
+        }
+        if ok.is_empty() {
+            return (valid, invalid);
+        }
+        let (a, b) = ok[rng.gen_range_usize(0, ok.len())];
+        p = p.merged(a, b);
+    }
+}
+
+/// Algorithm 1's merge check against the validity definition, on seeded
+/// random DAGs and on the DAG fuzzer's applications.
+#[test]
+fn merge_check_agrees_with_the_validity_oracle() {
+    let (mut valid, mut invalid) = (0, 0);
+    for seed in 0..200u64 {
+        let mut rng = SplitMix64::new(seed);
+        let n = rng.gen_range_usize(2, 25);
+        let density = rng.gen_range_f64(0.05, 0.5);
+        let g = random_dag(&mut rng, n, density);
+        let (v, i) = merge_check_matches_oracle(&g, &mut rng, &format!("random DAG seed {seed}"));
+        valid += v;
+        invalid += i;
+    }
+    for seed in 0..40u64 {
+        let app = zoo::fuzz::gen_app(seed);
+        let mut rng = SplitMix64::new(seed ^ 0x006d_6572_6765);
+        let (v, i) = merge_check_matches_oracle(&app.graph, &mut rng, &app.name);
+        valid += v;
+        invalid += i;
+    }
+    assert!(valid > 1000 && invalid > 1000, "weak coverage: {valid} valid, {invalid} invalid");
+}

@@ -39,7 +39,7 @@ use kernels::pde::{PoissonSmooth, Prolong, Residual};
 use kgraph::{AppGraph, GraphBuilder, GraphTrace};
 use ktiler::{
     calibrate, cluster_tile, execute_schedule, ktiler_schedule, singleton_tiling, verify_schedule,
-    Calibration, CalibrationConfig, KtilerConfig, Partition, Schedule, TileParams,
+    Calibration, CalibrationConfig, KtilerConfig, MergeCheck, Partition, Schedule, TileParams,
 };
 use std::fmt;
 
@@ -384,6 +384,7 @@ pub fn forced_tiled_schedule(
 ) -> Schedule {
     let mut rng = SplitMix64::new(seed ^ 0xF02C_ED71_1E5C_0DE5);
     let mut partition = Partition::singletons(g);
+    let mut check = MergeCheck::default();
     let mut edges: Vec<u32> = (0..g.num_edges() as u32).collect();
     for i in (1..edges.len()).rev() {
         let j = rng.gen_range_u64(0, i as u64 + 1) as usize;
@@ -402,9 +403,8 @@ pub fn forced_tiled_schedule(
         if ca == cb {
             continue;
         }
-        let merged = partition.merged(ca, cb);
-        if merged.is_valid(g) {
-            partition = merged;
+        if partition.merge_keeps_valid(g, ca, cb, &mut check) {
+            partition = partition.merged(ca, cb);
         }
     }
     let order = partition.cluster_order(g).expect("valid partitions always have a cluster order");

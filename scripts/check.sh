@@ -101,6 +101,13 @@ echo "== analyzer scaling gate (release) =="
 # gate is too coarse to see.
 cargo test --release -p bench --test analyzer_scaling "${OFFLINE[@]}" -- --ignored --nocapture
 
+echo "== Algorithm 1 decision pins, paper scale (release) =="
+# The TilingReport counters (candidates, merges accepted / rejected /
+# invalid, memoized tilings) and the launch count of optical flow at
+# 512²×30×3, (1324, 1600): any change to a merge decision moves one.
+# The 256²×10×3 pin runs with the workspace tests above.
+cargo test --release -p bench --test algorithm1_pins -q "${OFFLINE[@]}" -- --ignored
+
 echo "== fuzz corpus regression suite (release) =="
 # Every seed in crates/ktiler/tests/fuzz_corpus/ once exposed a real
 # scheduler bug (missing WAR/WAW hazard edges; atomic-node pessimism
@@ -120,10 +127,27 @@ cargo run --release -p bench --bin fuzz_dags "${OFFLINE[@]}" -- --seed0 0 --coun
 ZOO_JSON=$(mktemp /tmp/bench_zoo_smoke.XXXXXX.json)
 SVC_DIR=$(mktemp -d /tmp/ktiler_svc_smoke.XXXXXX)
 MN_DIR=$(mktemp -d /tmp/ktiler_multi_smoke.XXXXXX)
-trap 'rm -f "$ZOO_JSON"; rm -rf "$SVC_DIR" "$MN_DIR";
+FRESH_DIR=$(mktemp -d /tmp/ktiler_fresh.XXXXXX)
+trap 'rm -f "$ZOO_JSON"; rm -rf "$SVC_DIR" "$MN_DIR" "$FRESH_DIR";
       for p in "${SERVE_PID:-}" "${NODE0_PID:-}" "${NODE1_PID:-}" "${GW_PID:-}"; do
           [[ -n "$p" ]] && kill "$p" 2>/dev/null || true
       done' EXIT
+
+echo "== committed results are fresh (figs 1, 4, 5 and Sec. II) =="
+# The simulator and the tiler are deterministic, so these binaries' stdout
+# must equal the committed files byte for byte. fig5_ktiler's table also
+# pins the schedules at all four Fig. 5 points (launch counts and gains).
+# Each runs in a scratch directory: fig4_dfg writes its DOT file into the
+# working directory.
+BIN_DIR=$PWD/target/release
+for bin in fig1_motivation fig4_dfg fig5_ktiler sec2_kernel_study; do
+    (cd "$FRESH_DIR" && "$BIN_DIR/$bin") > "$FRESH_DIR/$bin.txt"
+    if ! diff -u "results/$bin.txt" "$FRESH_DIR/$bin.txt"; then
+        echo "error: results/$bin.txt differs from a fresh $bin run" >&2
+        echo "       (regenerate it from the binary's stdout if the change is intended)" >&2
+        exit 1
+    fi
+done
 
 echo "== workload zoo: smoke run + committed-results freshness =="
 # Smoke scale: the binary itself asserts verify_ok and outputs_match for
@@ -397,7 +421,7 @@ echo "== crash-recovery smoke (SIGKILL mid-store -> anti-entropy heal) =="
 # then a plain local HIT.
 CR_DIR=$(mktemp -d /tmp/ktiler_crash_smoke.XXXXXX)
 trap 'rm -f "$ZOO_JSON";
-      rm -rf "$SVC_DIR" "$MN_DIR" "$CR_DIR";
+      rm -rf "$SVC_DIR" "$MN_DIR" "$FRESH_DIR" "$CR_DIR";
       for p in "${SERVE_PID:-}" "${NODE0_PID:-}" "${NODE1_PID:-}" "${GW_PID:-}" \
                "${CR_A_PID:-}" "${CR_B_PID:-}" "${CR_CLIENT_PID:-}"; do
           [[ -n "$p" ]] && kill -9 "$p" 2>/dev/null || true
